@@ -1,8 +1,7 @@
 // Curve-mechanics exhibit (Definition 6, Lemmas 9/10): how large the
-// non-inferior solution curves actually get, what the quantization and
-// capping knobs (the engineering reading of the paper's pseudo-polynomial
-// "q distinct load values" assumption) trade away, and what the bucketed
-// kernel (curve/kernel.h) buys over naive generate-then-prune.
+// non-inferior solution curves actually get, what the solution-cap knob
+// trades away, and what the bucketed kernel (curve/kernel.h) buys over
+// naive generate-then-prune.
 //
 //   bench_pruning [--reps R] [--json FILE]
 //
@@ -220,34 +219,8 @@ int main(int argc, char** argv) {
     std::printf("%s\n", t.render().c_str());
   }
 
-  std::printf("Quantization (the paper's q): load/area bins vs quality (n=8):\n\n");
-  {
-    NetSpec spec;
-    spec.n_sinks = 8;
-    spec.seed = 88;
-    const Net net = make_random_net(spec, lib);
-    TextTable t({"load quantum (fF)", "area quantum", "driver req time (ps)",
-                 "stored sols"});
-    for (const double q : {0.0, 1.0, 5.0, 20.0, 80.0}) {
-      BubbleConfig cfg;
-      cfg.alpha = 3;
-      cfg.candidates.budget_factor = 1.5;
-      cfg.candidates.max_candidates = 16;
-      cfg.group_prune = PruneConfig{q, q / 4.0, 0};
-      cfg.inner_prune = PruneConfig{q, q / 4.0, 0};
-      cfg.buffer_stride = 3;
-      const BubbleResult r = bubble_construct(net, lib, tsp_order(net), cfg);
-      t.begin_row();
-      t.cell(q, 1);
-      t.cell(q / 4.0, 1);
-      t.cell(r.driver_req_time, 1);
-      t.cell(r.solutions_stored);
-      std::fflush(stdout);
-    }
-    std::printf("%s\n", t.render().c_str());
-  }
   std::printf("Lemma 10 bounds curves by O(nmq); in practice exact Pareto\n"
-              "pruning keeps them tiny, and coarse quanta trade little delay.\n\n");
+              "pruning keeps them tiny.\n\n");
 
   // -- bucketed kernel vs naive generate-then-prune -------------------------
   // Merge workload: two 128-point pruned curves -> one batch merge.  The

@@ -9,7 +9,7 @@
 //
 //   * a *context* signature, mixed once per bubble_construct run from the
 //     buffer library contents, the wire model, the candidate-location set,
-//     and every DP knob that shapes stored curves (pruning quanta, alpha,
+//     and every DP knob that shapes stored curves (prune caps, alpha,
 //     wire widths, buffer stride, ...);
 //   * a *sub-problem* signature mixed per Gamma group from the grouping
 //     structure (chi, length) and the exact ordered member sinks

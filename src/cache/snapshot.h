@@ -45,9 +45,11 @@ namespace merlin {
 
 /// First four bytes of every snapshot file, "MSNP" as a little-endian u32.
 inline constexpr std::uint32_t kSnapshotMagic = 0x504E534Du;
-/// Container revision; bump on any layout change (a mismatched file loads
-/// as kVersionMismatch and the cache cold-starts).
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+/// Container revision; bump on any layout change and on any change to how
+/// cache keys are derived (a mismatched file loads as kVersionMismatch and
+/// the cache cold-starts).  Version 2: keys no longer mix the removed
+/// load/area prune quanta, so version-1 entries could never be hit.
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /// cache-entry: SnapshotStats
 /// What one save or load moved: entry/node totals and the container size.

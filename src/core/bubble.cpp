@@ -418,8 +418,6 @@ BubbleResult bubble_construct(const Net& net, const BufferLibrary& lib,
     }
     h.mix(cfg.alpha);
     for (const PruneConfig* pc : {&cfg.inner_prune, &cfg.group_prune}) {
-      h.mix_double(pc->load_quantum);
-      h.mix_double(pc->area_quantum);
       h.mix(pc->max_solutions);
       h.mix_double(pc->ref_res);
     }

@@ -63,9 +63,9 @@ struct BubbleConfig {
   CandidateOptions candidates{};
 
   /// Pruning inside layer-DP states (transient).
-  PruneConfig inner_prune{0.0, 0.0, 6};
+  PruneConfig inner_prune{.max_solutions = 6};
   /// Pruning of stored Gamma group curves.
-  PruneConfig group_prune{0.0, 0.0, 8};
+  PruneConfig group_prune{.max_solutions = 8};
 
   /// When true (default), a group's root may stay unbuffered: the group then
   /// electrically merges into its parent layer.  When false, every internal

@@ -1,8 +1,6 @@
 #include "curve/curve.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 
 #include "curve/kernel.h"
 
@@ -11,13 +9,11 @@ namespace merlin {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Shared pruning pieces.  The exact (non-quantized) path runs on the
-// bucketed/SoA kernel in curve/kernel.h; quantized configs keep the
-// pre-kernel reference path, whose bin-rounding semantics the kernel's
-// equivalence argument does not cover.  Both paths end in the same
-// engineering cap, and dominance everywhere goes through the shared
-// `dominates` helper so the epsilon cannot drift between push-time tests
-// (Solution::dominated_by) and prune-time sweeps.
+// Shared pruning pieces.  Every prune is exact and runs on the bucketed/SoA
+// kernel in curve/kernel.h, then applies the one engineering cap below.
+// Dominance everywhere goes through the shared `dominates` helper so the
+// epsilon cannot drift between push-time tests (Solution::dominated_by) and
+// prune-time sweeps.
 // ---------------------------------------------------------------------------
 
 // Engineering cap.  All survivors are non-inferior, so the cap is purely
@@ -72,20 +68,17 @@ void apply_curve_cap(std::vector<T>& v, const PruneConfig& cfg) {
   v.resize(pick.size());
 }
 
-// Exact Pareto prune of already-materialized tuples via the kernel: sort an
-// index array into the canonical order (the original position is the
-// sequence tie-break, so the order is total and which duplicate survives is
-// pinned), sweep through a SoA frontier, and gather the survivors.  `T`
-// must expose req_time/load/area/wirelen; used both for stored Solutions
-// and for not-yet-allocated candidates.
-template <typename T>
-void exact_prune(std::vector<T>& v) {
+// Exact Pareto prune of stored solutions via the kernel: sort an index
+// array into the canonical order (the original position is the sequence
+// tie-break, so the order is total and which duplicate survives is pinned),
+// sweep through a SoA frontier, and gather the survivors.
+void exact_prune(std::vector<Solution>& v) {
   thread_local std::vector<std::uint32_t> order;
   order.resize(v.size());
   for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    const T& x = v[a];
-    const T& y = v[b];
+    const Solution& x = v[a];
+    const Solution& y = v[b];
     if (x.load != y.load) return x.load < y.load;
     if (x.area != y.area) return x.area < y.area;
     if (x.req_time != y.req_time) return x.req_time > y.req_time;
@@ -101,14 +94,14 @@ void exact_prune(std::vector<T>& v) {
   }
   if (frontier.size() == v.size()) {
     // Everything survived: just reorder in place via the sorted index.
-    thread_local std::vector<T> tmp;
+    thread_local std::vector<Solution> tmp;
     tmp.clear();
     for (const std::uint32_t i : order) tmp.push_back(std::move(v[i]));
     v.swap(tmp);
     tmp.clear();
     return;
   }
-  thread_local std::vector<T> tmp;
+  thread_local std::vector<Solution> tmp;
   tmp.clear();
   for (std::size_t k = 0; k < frontier.size(); ++k)
     tmp.push_back(std::move(v[static_cast<std::size_t>(frontier[k].seq)]));
@@ -116,89 +109,12 @@ void exact_prune(std::vector<T>& v) {
   tmp.clear();
 }
 
-// Pre-kernel reference path, retained for quantized configs: snap load/area
-// into bins, keep the best required time per bin (ties toward less wire) —
-// this bounds the paper's q — then run the classic sort + backward-scan
-// exact sweep over the bin winners.
-template <typename T>
-void quantized_prune(std::vector<T>& v, const PruneConfig& cfg) {
-  auto bin = [](double x, double q) {
-    return q > 0.0 ? std::floor(x / q) : x;
-  };
-  std::sort(v.begin(), v.end(), [&](const T& a, const T& b) {
-    const double la = bin(a.load, cfg.load_quantum);
-    const double lb = bin(b.load, cfg.load_quantum);
-    if (la != lb) return la < lb;
-    const double aa = bin(a.area, cfg.area_quantum);
-    const double ab = bin(b.area, cfg.area_quantum);
-    if (aa != ab) return aa < ab;
-    if (a.req_time != b.req_time) return a.req_time > b.req_time;
-    return a.wirelen < b.wirelen;
-  });
-  std::size_t w = 0;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    const bool same_bin =
-        w > 0 &&
-        bin(v[w - 1].load, cfg.load_quantum) == bin(v[i].load, cfg.load_quantum) &&
-        bin(v[w - 1].area, cfg.area_quantum) == bin(v[i].area, cfg.area_quantum);
-    if (!same_bin) {
-      if (w != i) v[w] = std::move(v[i]);
-      ++w;
-    }
-  }
-  v.resize(w);
-
-  // Exact 3-D Pareto sweep (Def. 6) over the bin winners.  After sorting by
-  // load, any dominator of v[i] appears before it, so one backward scan over
-  // the kept set works.
-  std::sort(v.begin(), v.end(), [](const T& a, const T& b) {
-    if (a.load != b.load) return a.load < b.load;
-    if (a.area != b.area) return a.area < b.area;
-    if (a.req_time != b.req_time) return a.req_time > b.req_time;
-    return a.wirelen < b.wirelen;
-  });
-  w = 0;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    bool is_dominated = false;
-    for (std::size_t k = 0; k < w; ++k) {
-      if (dominates(v[k], v[i])) {
-        is_dominated = true;
-        break;
-      }
-    }
-    if (!is_dominated) {
-      if (w != i) v[w] = std::move(v[i]);
-      ++w;
-    }
-  }
-  v.resize(w);
-}
-
-// Shared pruning core: kernel for exact semantics, reference path when the
-// config asks for quantization, one cap for both.
-template <typename T>
-void pareto_prune(std::vector<T>& v, const PruneConfig& cfg) {
-  if (v.empty()) return;
-  const std::size_t entering = v.size();
-  obs_gauge(cfg.obs, Gauge::kCurvePeakWidth, entering);
-
-  if (cfg.load_quantum > 0.0 || cfg.area_quantum > 0.0)
-    quantized_prune(v, cfg);
-  else
-    exact_prune(v);
-  apply_curve_cap(v, cfg);
-
-  obs_add(cfg.obs, Counter::kCurvePointsPushed, entering);
-  obs_add(cfg.obs, Counter::kCurvePointsPruned, entering - v.size());
-  obs_add(cfg.obs, Counter::kCurvePointsKept, v.size());
-}
-
 // ---------------------------------------------------------------------------
 // Bucketed candidate generation for the batch ops.  Candidates are pushed
 // bucket by bucket; each push carries the global generation sequence number
-// (identical to the index the candidate would have had in the
-// materialize-everything reference path, so the canonical order's tie-break
-// agrees between the two).  The per-bucket prefilter kills most dominated
+// (the candidate's index in the flat source-major enumeration, so the
+// canonical order's tie-break matches a materialize-everything prune of the
+// same candidates).  The per-bucket prefilter kills most dominated
 // candidates in O(1) before they are stored; the rare bucket whose computed
 // keys come out of order (floating-point collapse of distinct source loads)
 // is sorted before the k-way sweep.
@@ -250,9 +166,9 @@ class BucketScratch {
 };
 
 // Sweeps the buckets, applies the cap, and returns the final survivor
-// tuples in output order.  `generated` is the pre-prefilter candidate count
-// (what the reference path would have materialized); obs accounting uses it
-// so kernel and reference runs record identical counters.
+// tuples in output order.  `generated` is the pre-prefilter candidate count;
+// obs accounting uses it so the counters do not depend on how many
+// candidates the prefilter happened to reject.
 const std::vector<CurveCand>& sweep_and_cap(const BucketScratch& scratch,
                                             std::size_t generated,
                                             const PruneConfig& cfg) {
@@ -273,21 +189,20 @@ const std::vector<CurveCand>& sweep_and_cap(const BucketScratch& scratch,
   return survivors;
 }
 
-[[nodiscard]] bool wants_quantized(const PruneConfig& cfg) {
-  return cfg.load_quantum > 0.0 || cfg.area_quantum > 0.0;
-}
-
-// Candidate tuple used by the quantized-fallback merge path: provenance by
-// parent pointers, node allocation deferred until after pruning.
-struct MergeCand {
-  double req_time, load, area, wirelen;
-  const Solution* l;
-  const Solution* r;
-};
-
 }  // namespace
 
-void SolutionCurve::prune(const PruneConfig& cfg) { pareto_prune(sols_, cfg); }
+void SolutionCurve::prune(const PruneConfig& cfg) {
+  if (sols_.empty()) return;
+  const std::size_t entering = sols_.size();
+  obs_gauge(cfg.obs, Gauge::kCurvePeakWidth, entering);
+
+  exact_prune(sols_);
+  apply_curve_cap(sols_, cfg);
+
+  obs_add(cfg.obs, Counter::kCurvePointsPushed, entering);
+  obs_add(cfg.obs, Counter::kCurvePointsPruned, entering - sols_.size());
+  obs_add(cfg.obs, Counter::kCurvePointsKept, sols_.size());
+}
 
 void SolutionCurve::collect_roots(std::vector<SolNodeId>& out) const {
   for (const Solution& s : sols_)
@@ -366,8 +281,8 @@ void push_buffered_options(SolutionArena& arena, const SolutionCurve& src,
   // the load lane is the buffer's input capacitance — constant — so
   // same-bucket dominance degenerates to the 2-D (area, req_time) staircase
   // the prefilter prunes as candidates stream by.  The sequence number is
-  // i * |tried| + t, the index the (source-major) reference enumeration
-  // would assign, so survivor payloads are recovered by plain division.
+  // i * |tried| + t, the candidate's index in source-major enumeration,
+  // so survivor payloads are recovered by plain division.
   const std::size_t n_src = src.size();
   const std::size_t n_tried = tried.size();
   thread_local BucketScratch scratch;
@@ -402,35 +317,7 @@ void push_buffered_options(SolutionArena& arena, const SolutionCurve& src,
 
 void push_merged_options(SolutionArena& arena, std::span<const MergeJob> jobs,
                          Point at, const PruneConfig& cfg, SolutionCurve& dst) {
-  if (wants_quantized(cfg)) {
-    // Reference path: quantized semantics are outside the kernel's
-    // equivalence argument, so materialize every pair and prune post hoc.
-    thread_local std::vector<MergeCand> cands;
-    cands.clear();
-    for (const MergeJob& job : jobs) {
-      for (const Solution& a : *job.left) {
-        for (const Solution& b : *job.right) {
-          cands.push_back(MergeCand{std::min(a.req_time, b.req_time),
-                                    a.load + b.load, a.area + b.area,
-                                    a.wirelen + b.wirelen, &a, &b});
-        }
-      }
-    }
-    obs_add(cfg.obs, Counter::kMergeCandidates, cands.size());
-    pareto_prune(cands, cfg);
-    for (const MergeCand& c : cands) {
-      Solution s;
-      s.req_time = c.req_time;
-      s.load = c.load;
-      s.area = c.area;
-      s.wirelen = c.wirelen;
-      s.node = arena.make_merge(at, c.l->node, c.r->node);
-      dst.push(std::move(s));
-    }
-    return;
-  }
-
-  // Bucketed kernel path: one bucket per (job, left solution).  A pruned
+  // One kernel bucket per (job, left solution).  A pruned
   // right curve arrives in canonical order, so the bucket's computed keys
   // are already sorted except when rounding collapses distinct loads — the
   // scratch detects and repairs that case.
@@ -484,47 +371,7 @@ void push_extended_options(SolutionArena& arena,
   static constexpr double kDefaultWidth[] = {1.0};
   if (widths.empty()) widths = kDefaultWidth;
 
-  if (wants_quantized(cfg)) {
-    // Reference path (see push_merged_options).
-    struct Cand {
-      double req_time, load, area, wirelen, width;
-      const Solution* src;
-      bool zero_len;
-    };
-    thread_local std::vector<Cand> cands;
-    cands.clear();
-    for (std::size_t i = 0; i < srcs.size(); ++i) {
-      if (srcs[i] == nullptr) continue;
-      const double len = static_cast<double>(manhattan(src_pts[i], to));
-      if (len == 0.0) {
-        for (const Solution& s : *srcs[i])
-          cands.push_back(Cand{s.req_time, s.load, s.area, s.wirelen, 1.0, &s, true});
-        continue;
-      }
-      for (const double width : widths) {
-        const WireModel w = scaled_width(wire, width);
-        for (const Solution& s : *srcs[i]) {
-          cands.push_back(Cand{s.req_time - w.elmore_delay(len, s.load),
-                               s.load + w.wire_cap(len), s.area,
-                               s.wirelen + len, width, &s, false});
-        }
-      }
-    }
-    obs_add(cfg.obs, Counter::kExtendCandidates, cands.size());
-    pareto_prune(cands, cfg);
-    for (const Cand& c : cands) {
-      Solution s;
-      s.req_time = c.req_time;
-      s.load = c.load;
-      s.area = c.area;
-      s.wirelen = c.wirelen;
-      s.node = c.zero_len ? c.src->node : arena.make_wire(to, c.src->node, c.width);
-      dst.push(std::move(s));
-    }
-    return;
-  }
-
-  // Bucketed kernel path: one bucket per (source curve, wire width) — a
+  // One kernel bucket per (source curve, wire width) — a
   // zero-length source contributes a single identity bucket, whose
   // survivors reuse the child provenance node unchanged.
   struct Bucket {

@@ -15,15 +15,10 @@
 
 namespace merlin {
 
-/// Pruning policy.  Exact Pareto pruning alone already bounds curves to
-/// O(nmq) points (Lemma 10); the optional quanta implement the paper's
-/// pseudo-polynomial assumption that "capacitive values are polynomially
-/// bounded integers or can be mapped to such with sufficient precision"
-/// (they bound q), and `max_solutions` is an engineering cap that trades
-/// optimality for speed.
+/// Pruning policy.  Dominance pruning is always exact (Def. 6), which bounds
+/// curves to O(nmq) points (Lemma 10); `max_solutions` is an engineering cap
+/// that trades optimality for speed.
 struct PruneConfig {
-  double load_quantum = 0.0;  ///< fF bin; 0 disables load quantization
-  double area_quantum = 0.0;  ///< area bin; 0 disables area quantization
   std::size_t max_solutions = 0;  ///< hard cap; 0 = unlimited
   /// Reference drive resistance (ps/fF).  When capping, the solution
   /// maximizing req_time - ref_res*load is always kept: that is the point an
@@ -33,8 +28,6 @@ struct PruneConfig {
   /// Optional observability sink: every prune through this config records
   /// pushed/pruned/kept counts and the peak curve width.  Not part of the
   /// pruning policy itself; engines patch it from their own config's sink.
-  /// Must stay the last member — PruneConfig is brace-initialized
-  /// positionally throughout the codebase.
   ObsSink* obs = nullptr;
 };
 
@@ -64,8 +57,8 @@ class SolutionCurve {
 
   void clear() { sols_.clear(); }
 
-  /// Removes every inferior solution (Def. 6), applies quantization, and
-  /// enforces the solution cap (keeping the area-spread of the frontier).
+  /// Removes every inferior solution (Def. 6) and enforces the solution cap
+  /// (keeping the load-spread of the frontier).
   void prune(const PruneConfig& cfg = {});
 
   /// Appends every non-null provenance handle to `out` — the curve's

@@ -23,7 +23,7 @@
 // ## Canonical candidate order
 //
 // The kernel processes candidates in one total order, shared with the
-// reference path in curve.cpp and with the oracle in
+// sort-and-sweep in SolutionCurve::prune and with the oracle in
 // tests/test_prune_differential.cpp:
 //
 //   load ascending, then area ascending, then req_time DESCENDING, then
@@ -37,7 +37,7 @@
 //
 // Scanning candidates in canonical order, a candidate is kept iff no
 // already-kept candidate eps-dominates it (`dominates` in solution.h).
-// That is exactly what the reference sort-then-scan computes, so any
+// That is exactly what a plain sort-then-scan computes, so any
 // shortcut must provably never change the kept set.  The bucket prefilter
 // rejects candidate c when an earlier candidate d of the same bucket
 // satisfies the ZERO-slack test
@@ -51,10 +51,7 @@
 // dropped by some kept e (e eps-dominates d), then e eps-dominates c too,
 // since each eps bound on d transfers to c through the slack-free
 // inequality.  Eps-dominance alone is not transitive — which is exactly why
-// the prefilter must not use the eps form.  Quantized configs
-// (PruneConfig::load_quantum / area_quantum) have bin-rounding semantics
-// this argument does not cover; those calls fall back to the pre-kernel
-// path (see curve.cpp).
+// the prefilter must not use the eps form.
 //
 // Layering: this header sits below curve.h and depends only on
 // curve/solution.h.  The bucket *types* (merge pairs, buffered variants,
@@ -132,8 +129,8 @@ class FrontierSoA {
 
   /// Sweep step: rejects `c` if any current survivor eps-dominates it,
   /// otherwise appends it.  Returns true when `c` entered the frontier.
-  /// Candidates MUST arrive in canonical order for the sweep to equal the
-  /// reference prune.
+  /// Candidates MUST arrive in canonical order for the sweep to equal an
+  /// exact Def. 6 prune.
   bool accept(const CurveCand& c) {
     if (dominated(c.req_time, c.load, c.area)) return false;
     load_.push_back(c.load);

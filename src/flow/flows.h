@@ -30,7 +30,8 @@ namespace merlin {
 /// comparison stays fair; per-engine pruning knobs are separate.
 struct FlowConfig {
   CandidateOptions candidates{};
-  PruneConfig engine_prune{0.0, 0.0, 8};  ///< PTREE / LTTREE / van Ginneken
+  /// PTREE / LTTREE / van Ginneken.
+  PruneConfig engine_prune{.max_solutions = 8};
   MerlinConfig merlin{};                  ///< flow III (bubble.candidates is
                                           ///< overwritten with `candidates`)
   /// Optional externally owned provenance arena.  When set, every engine a

@@ -31,7 +31,7 @@ class NetGuard;  // runtime/guard.h
 
 /// Tuning knobs for the LTTREE DP.
 struct LTTreeConfig {
-  PruneConfig prune{0.0, 0.0, 32};
+  PruneConfig prune{.max_solutions = 32};
   /// Optional bound on direct fanouts per node (0 = unbounded, the classic
   /// LT-Tree setting).
   std::size_t max_fanout = 0;

@@ -23,7 +23,7 @@ namespace merlin {
 enum class Counter : std::uint16_t {
   // Curve algebra (Def. 6 pruning; Lemmas 9/10 bound what survives).
   kCurvePointsPushed,    ///< candidate points entering a prune pass
-  kCurvePointsPruned,    ///< points killed (dominated, quantized or capped)
+  kCurvePointsPruned,    ///< points killed (dominated or capped)
   kCurvePointsKept,      ///< points surviving a prune pass
   kMergeCandidates,      ///< solution pairs formed by merge operations
   kExtendCandidates,     ///< wire-extension candidates generated

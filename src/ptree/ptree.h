@@ -27,8 +27,8 @@ class NetGuard;  // runtime/guard.h
 
 /// Tuning knobs for the PTREE DP.
 struct PTreeConfig {
-  CandidateOptions candidates{};       ///< how to build the candidate set P
-  PruneConfig prune{0.0, 0.0, 16};     ///< per-state curve pruning (bounded)
+  CandidateOptions candidates{};            ///< how to build the candidate set P
+  PruneConfig prune{.max_solutions = 16};  ///< per-state curve pruning (bounded)
   /// Wire width multipliers to consider per wire ([LCLH96]'s simultaneous
   /// wire sizing).  Empty = default 1x width only.
   std::vector<double> wire_widths{};

@@ -26,7 +26,7 @@ class NetGuard;  // runtime/guard.h
 struct VanGinnekenConfig {
   /// Bounded by default: an unbounded 3-D frontier grows combinatorially
   /// with the number of buffer stations on long wires.
-  PruneConfig prune{0.0, 0.0, 24};
+  PruneConfig prune{.max_solutions = 24};
   /// Maximum wire length between consecutive buffer stations (um).  Long
   /// edges are split so a buffer can sit mid-wire, which is essential for
   /// the wire-dominated nets these experiments use.

@@ -98,7 +98,9 @@ TEST(BatchDifferential, ArmedTracerPreservesBitIdentity) {
       EXPECT_TRUE(batch_results_identical(bare, traced))
           << "circuit " << i << " flow " << static_cast<int>(flow) << " at "
           << threads << " threads changed under an armed tracer";
-      if (kObsEnabled) EXPECT_GT(sink.spans().size(), 0u);
+      if (kObsEnabled) {
+        EXPECT_GT(sink.spans().size(), 0u);
+      }
     }
   }
 }

@@ -129,8 +129,9 @@ TEST(Cli, TraceOutWritesChromeTraceEventJson) {
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"displayTimeUnit\""), std::string::npos);
   // With the obs layer compiled out the document is a valid empty timeline.
-  if (kObsEnabled)
+  if (kObsEnabled) {
     EXPECT_NE(json.find("batch.net"), std::string::npos);
+  }
   std::remove(path.c_str());
 }
 

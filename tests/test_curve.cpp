@@ -1,6 +1,6 @@
 // Unit + property tests: three-dimensional solution curves, dominance
 // (Definition 6), pruning (Lemma 9: no non-inferior solution is lost),
-// quantization, capping, and the curve algebra.
+// capping, and the curve algebra.
 
 #include <gtest/gtest.h>
 
@@ -42,8 +42,11 @@ TEST(Prune, RemovesDominatedKeepsFrontier) {
   c.prune();
   EXPECT_EQ(c.size(), 2u);
   for (const Solution& s : c)
-    for (const Solution& t : c)
-      if (&s != &t) EXPECT_FALSE(s.dominated_by(t));
+    for (const Solution& t : c) {
+      if (&s != &t) {
+        EXPECT_FALSE(s.dominated_by(t));
+      }
+    }
 }
 
 TEST(Prune, EmptyAndSingleton) {
@@ -99,19 +102,6 @@ TEST_P(PruneOracleTest, MatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PruneOracleTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
-
-TEST(Prune, QuantizationBoundsBins) {
-  SolutionCurve c;
-  for (int i = 0; i < 100; ++i)
-    c.push(sol(1000.0 - i, 10.0 + 0.001 * i, 5.0 + 0.0001 * i));
-  PruneConfig cfg;
-  cfg.load_quantum = 1.0;
-  cfg.area_quantum = 1.0;
-  c.prune(cfg);
-  // All loads fall into one bin and all areas into one bin -> one survivor.
-  EXPECT_EQ(c.size(), 1u);
-  EXPECT_DOUBLE_EQ(c[0].req_time, 1000.0);  // best required time per bin
-}
 
 TEST(Prune, CapKeepsExtremePoints) {
   SolutionCurve c;

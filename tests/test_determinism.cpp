@@ -103,22 +103,6 @@ TEST(PrunePolicy, RefResKeepsDriverPick) {
   EXPECT_TRUE(kept);
 }
 
-TEST(PrunePolicy, QuantizationTieBreaksTowardLessWire) {
-  SolutionCurve c;
-  Solution a = sol(100, 10, 5);
-  a.wirelen = 50;
-  Solution b = sol(100, 10.4, 5.2);  // same bins at quantum 1, more wire
-  b.wirelen = 90;
-  c.push(b);
-  c.push(a);
-  PruneConfig cfg;
-  cfg.load_quantum = 1.0;
-  cfg.area_quantum = 1.0;
-  c.prune(cfg);
-  ASSERT_EQ(c.size(), 1u);
-  EXPECT_DOUBLE_EQ(c[0].wirelen, 50.0);
-}
-
 TEST(PrunePolicy, CapOneKeepsBestReqTime) {
   SolutionCurve c;
   c.push(sol(100, 10, 0));

@@ -152,8 +152,11 @@ TEST(LTTree, CurveIsNonInferior) {
   const Net net = shielding_net(lib);
   const LTTreeResult r = lttree_optimize(net, required_time_order(net), lib, {});
   for (const Solution& a : r.root_curve)
-    for (const Solution& b : r.root_curve)
-      if (&a != &b) EXPECT_FALSE(a.dominated_by(b));
+    for (const Solution& b : r.root_curve) {
+      if (&a != &b) {
+        EXPECT_FALSE(a.dominated_by(b));
+      }
+    }
 }
 
 TEST(LTTree, RejectsBadInput) {

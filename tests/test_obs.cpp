@@ -201,7 +201,9 @@ TEST(Batch, AggregateObsIsThreadCountInvariant) {
     EXPECT_EQ(a.peak_curve_width, b.peak_curve_width);
     EXPECT_EQ(a.merlin_loops, b.merlin_loops);
     EXPECT_EQ(a.buffers, b.buffers);
-    if (i > 0) EXPECT_LT(s1.traces()[i - 1].net_id, a.net_id);
+    if (i > 0) {
+      EXPECT_LT(s1.traces()[i - 1].net_id, a.net_id);
+    }
   }
   EXPECT_EQ(s1.traces().size(),
             s1.counters.get(Counter::kNetsProcessed));

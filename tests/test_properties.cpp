@@ -193,10 +193,9 @@ std::vector<Solution> coarse_batch(Rng& rng, std::size_t n) {
 
 std::vector<PruneConfig> swept_configs() {
   std::vector<PruneConfig> cfgs;
-  cfgs.push_back({});                              // exact, uncapped
-  cfgs.push_back({0.0, 0.0, 6});                   // exact + cap
-  cfgs.push_back({0.5, 0.25, 0});                  // quantized fallback
-  cfgs.push_back({0.5, 0.25, 4, 2.0});             // quant + cap + ref_res
+  cfgs.push_back({});                                      // uncapped
+  cfgs.push_back({.max_solutions = 6});                    // cap
+  cfgs.push_back({.max_solutions = 4, .ref_res = 2.0});    // cap + ref_res
   return cfgs;
 }
 

@@ -65,9 +65,10 @@ std::vector<Solution> oracle_prune(const std::vector<Solution>& in) {
 
 // Bitwise, order-sensitive equality between the kernel's surviving curve
 // and the oracle's: the kernel never recomputes metrics, so even the
-// sign of zero must agree.
+// sign of zero must agree.  With `compare_node` the provenance handles must
+// match too, pinning which of several exact duplicates survives.
 void expect_identical(const SolutionCurve& got, const std::vector<Solution>& want,
-                      const char* what) {
+                      const char* what, bool compare_node = false) {
   ASSERT_EQ(got.size(), want.size()) << what;
   for (std::size_t i = 0; i < want.size(); ++i) {
     const Solution& g = got[i];
@@ -76,14 +77,31 @@ void expect_identical(const SolutionCurve& got, const std::vector<Solution>& wan
     EXPECT_EQ(g.load, w.load) << what << " [" << i << "]";
     EXPECT_EQ(g.area, w.area) << what << " [" << i << "]";
     EXPECT_EQ(g.wirelen, w.wirelen) << what << " [" << i << "]";
+    if (compare_node) {
+      EXPECT_EQ(g.node, w.node) << what << " [" << i << "]";
+    }
   }
 }
 
+// Gives every input solution a distinct provenance handle (a sink node whose
+// index is the solution's input position).
+std::vector<Solution> attach_sinks(SolutionArena& arena,
+                                   std::vector<Solution> v) {
+  for (std::size_t i = 0; i < v.size(); ++i)
+    v[i].node = arena.make_sink({0, 0}, static_cast<std::int32_t>(i));
+  return v;
+}
+
+// Prunes `input` (each solution tagged with its own sink node) and checks
+// metrics and payload against the oracle, so the index gather in
+// SolutionCurve::prune must move the right provenance with each survivor.
 void run_differential(const std::vector<Solution>& input, const char* what) {
+  SolutionArena arena;
+  const std::vector<Solution> tagged = attach_sinks(arena, input);
   SolutionCurve c;
-  for (const Solution& s : input) c.push(s);
+  for (const Solution& s : tagged) c.push(s);
   c.prune();
-  expect_identical(c, oracle_prune(input), what);
+  expect_identical(c, oracle_prune(tagged), what, /*compare_node=*/true);
 }
 
 // -- input generators -------------------------------------------------------
@@ -161,13 +179,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PruneDifferential,
 // the bucketed kernel; the reference materializes every candidate in the
 // op's enumeration order and runs the oracle.  This pins the bucketed
 // generation + prefilter + k-way sweep against the flat reference.
-
-std::vector<Solution> attach_sinks(SolutionArena& arena,
-                                   std::vector<Solution> v) {
-  for (std::size_t i = 0; i < v.size(); ++i)
-    v[i].node = arena.make_sink({0, 0}, static_cast<std::int32_t>(i));
-  return v;
-}
 
 TEST_P(PruneDifferential, MergedOptionsMatchFlatOracle) {
   Rng rng(0xD1FF3000 + GetParam());

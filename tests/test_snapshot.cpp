@@ -229,13 +229,19 @@ TEST(CacheSnapshotHostile, UnknownVersionColdStarts) {
   SubproblemCache src(big_config());
   populate(src, 3);
   ASSERT_TRUE(save_cache_snapshot(src, snap.path));
-  std::string bytes = read_file(snap.path);
-  bytes[4] = char(0xEE);  // version word
-  write_file(snap.path, bytes);
-  SubproblemCache dst(big_config());
-  const SnapshotLoadResult lr = load_cache_snapshot(dst, snap.path);
-  EXPECT_EQ(lr.status, SnapshotLoadStatus::kVersionMismatch);
-  EXPECT_EQ(dst.entry_count(), 0u);
+  const std::string good = read_file(snap.path);
+  // A garbage version word, and a file from the previous revision (whose
+  // cache keys the current build can no longer produce).
+  for (const std::uint32_t version : {0xEEu, kSnapshotVersion - 1}) {
+    std::string bytes = good;
+    for (int i = 0; i < 4; ++i)  // little-endian version word
+      bytes[4 + i] = static_cast<char>((version >> (8 * i)) & 0xFFu);
+    write_file(snap.path, bytes);
+    SubproblemCache dst(big_config());
+    const SnapshotLoadResult lr = load_cache_snapshot(dst, snap.path);
+    EXPECT_EQ(lr.status, SnapshotLoadStatus::kVersionMismatch) << version;
+    EXPECT_EQ(dst.entry_count(), 0u) << version;
+  }
 }
 
 TEST(CacheSnapshotHostile, TruncationAtEveryByteColdStartsCleanly) {

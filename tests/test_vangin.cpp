@@ -95,8 +95,11 @@ TEST(VanGinneken, RootCurveIsNonInferior) {
   const Net net = long_wire_net(lib);
   const VanGinnekenResult r = vangin_insert(net, direct_tree(net), lib, {});
   for (const Solution& a : r.root_curve)
-    for (const Solution& b : r.root_curve)
-      if (&a != &b) EXPECT_FALSE(a.dominated_by(b));
+    for (const Solution& b : r.root_curve) {
+      if (&a != &b) {
+        EXPECT_FALSE(a.dominated_by(b));
+      }
+    }
 }
 
 TEST(VanGinneken, FinerSegmentationHelps) {
