@@ -10,11 +10,13 @@
 // boundaries, and a span is two steady-clock reads plus a ring store, so the
 // target for each is < 2 % overhead (docs/ROBUSTNESS.md,
 // docs/OBSERVABILITY.md).  Attaching any sink also turns on the counter
-// layer's per-prune recording, so a counters-only configuration (sink
-// attached, span ring disarmed) separates that pre-existing cost from the
-// tracer's marginal one: trace_overhead_pct is traced-minus-counters over
-// bare.  Wall clocks on shared CI runners are noisy, so the configurations
-// are interleaved within each of R reps (slow drift — thermal, background
+// layer's per-prune recording and every span's two clock reads into its
+// name's wall-time total, so a counters-only configuration (sink attached,
+// span ring disarmed) separates that cost from the ring's marginal one:
+// counters_overhead_pct includes the span clock reads, and
+// trace_overhead_pct is traced-minus-counters over bare.  Wall clocks on
+// shared CI runners are noisy, so the configurations are interleaved
+// within each of R reps (slow drift — thermal, background
 // load — hits every configuration equally instead of whichever block runs
 // last) and the *minimum* wall time per configuration is compared.
 // --smoke exits non-zero if the guard or the tracer changes any

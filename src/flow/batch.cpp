@@ -528,12 +528,11 @@ BatchResult BatchRunner::run_jobs(const std::vector<CircuitNet>& jobs,
     }
 
     // Fold the per-worker sinks into the caller's aggregate, serially, in
-    // worker order.  Counter sums, gauge maxima and layer totals commute
+    // worker order.  Counter sums, gauge maxima, span and layer totals commute
     // across the worker partition, so the aggregate is identical for any
     // thread count; traces are gathered, sorted by net id, and capped at
     // the aggregate sink's capacity — also scheduling-independent.
     if (!sinks.empty()) {
-      ScopedTimer reduce_timer(opts_.obs, Phase::kBatchReduce);
       TraceSpan reduce_span(opts_.obs, SpanName::kBatchReduce, sinks.size());
       std::vector<TraceRecord> traces;
       traces.reserve(jobs.size());
@@ -557,12 +556,13 @@ BatchResult BatchRunner::run_jobs(const std::vector<CircuitNet>& jobs,
       // aggregate ring, so the merged order — and, when worker rings never
       // overflowed, the post-cap content — is scheduling-independent.
       // Scheduling spans (pool idle/steal, net == kNoTraceNet) sort last.
+      // Their totals already arrived through merge_from: append, not charge.
       std::stable_sort(spans.begin(), spans.end(),
                        [](const SpanRecord& a, const SpanRecord& b) {
                          if (a.net_id != b.net_id) return a.net_id < b.net_id;
                          return a.seq < b.seq;
                        });
-      for (const SpanRecord& r : spans) opts_.obs->record_span(r);
+      for (const SpanRecord& r : spans) opts_.obs->append_span(r);
       obs_add(opts_.obs, Counter::kPoolTasks, jobs.size());
     }
   }

@@ -52,8 +52,13 @@ namespace merlin {
 /// window ring); one-shot CLI runs emit `{"enabled": 0}`.  v5 readers
 /// that ignore unknown keys and treat percentiles as approximations
 /// parse v6 documents unchanged.
+///
+/// v7: the top-level `phases` section is gone; wall time is reported per
+/// span name only.  `runtime.spans` reads the sink's exact span totals (any
+/// run with a sink, traced or not), and `lifetime.phases` became
+/// `lifetime.spans` (name mapping in docs/OBSERVABILITY.md).
 inline constexpr const char* kStatsSchemaName = "merlin.stats";
-inline constexpr int kStatsSchemaVersion = 6;
+inline constexpr int kStatsSchemaVersion = 7;
 
 /// Scheduling-dependent run facts.  Kept in a separate "runtime" JSON
 /// section so the deterministic sections (counters/gauges/layers/nets) can
@@ -97,7 +102,7 @@ struct ServeInfo {
 };
 
 /// Render the sink (plus optional runtime/request/serve/lifetime facts)
-/// as a JSON document: schema/version, request, counters, gauges, phases,
+/// as a JSON document: schema/version, request, counters, gauges,
 /// layers, nets (trace rows), latency_us percentiles over the trace wall
 /// times, cache, serve, lifetime, runtime.  `lifetime` may be null (the
 /// one-shot shape: `"lifetime": {"enabled": 0}`).

@@ -21,12 +21,11 @@ void MetricsRegistry::note_job(const ObsSink& sink, double queue_ms,
   ++jobs_;
   counters_.merge(sink.counters);
   gauges_.merge(sink.gauges);
-  for (std::size_t i = 0; i < kPhaseCount; ++i) {
-    const auto p = static_cast<Phase>(i);
-    phase_ns_[i] += sink.phase_ns(p);
-    phase_calls_[i] += sink.phase_calls(p);
-    // One sample per job and phase: the job's total time in that phase.
-    if (sink.phase_calls(p) != 0) phase_us_[i].record(sink.phase_ns(p) / 1000);
+  for (std::size_t i = 0; i < kSpanNameCount; ++i) {
+    const SpanTotal& t = sink.span_total(static_cast<SpanName>(i));
+    span_ns_[i] += t.total_ns;
+    // One sample per job and span name: the job's total under that name.
+    if (t.count != 0) span_us_[i].record(t.total_ns / 1000);
   }
   using H = LifetimeHist;
   hist_[static_cast<std::size_t>(H::kQueueUs)].record(to_us(queue_ms));
@@ -81,10 +80,9 @@ LifetimeSnapshot MetricsRegistry::snapshot() const {
   out.jobs = jobs_;
   out.counters = counters_;
   out.gauges = gauges_;
-  out.phase_ns = phase_ns_;
-  out.phase_calls = phase_calls_;
+  out.span_ns = span_ns_;
   out.hist = hist_;
-  out.phase_us = phase_us_;
+  out.span_us = span_us_;
   out.window_s = window_s_;
   out.windows = windows_;
   return out;

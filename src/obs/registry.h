@@ -5,12 +5,12 @@
 // job.  The registry is the daemon-scoped accumulator behind it — after
 // each job's per-worker sinks are merged (the existing deterministic-merge
 // discipline), the scheduler folds the job's aggregate sink in here, so
-// counters sum, gauges maximize and phase totals add across the daemon's
+// counters sum, gauges maximize and span totals add across the daemon's
 // whole lifetime exactly as they do across workers within one job.
 //
 // On top of the banks it keeps two families of LatencyHistogram:
 //   - wall-clock stage histograms (queue wait, guard-budgeted run,
-//     end-to-end) and per-Phase timer histograms — serving facts,
+//     end-to-end) and per-span-name wall-time histograms — serving facts,
 //     quarantined from identity comparisons like the `runtime` section;
 //   - deterministic per-net histograms fed from TraceRecord fields that
 //     are scheduling-independent (buffers per net, peak curve width per
@@ -92,11 +92,10 @@ struct LifetimeSnapshot {
   std::uint64_t jobs = 0;  ///< jobs folded in via note_job()
   Counters counters;
   Gauges gauges;
-  std::array<std::uint64_t, kPhaseCount> phase_ns{};
-  std::array<std::uint64_t, kPhaseCount> phase_calls{};
+  std::array<std::uint64_t, kSpanNameCount> span_ns{};
   std::array<LatencyHistogram, kLifetimeHistCount> hist;
-  /// Per-Phase timer histograms: each job's per-phase total, in us.
-  std::array<LatencyHistogram, kPhaseCount> phase_us;
+  /// Per-span-name histograms: each job's total under that name, in us.
+  std::array<LatencyHistogram, kSpanNameCount> span_us;
   std::uint32_t window_s = 0;
   std::vector<WindowSample> windows;  ///< oldest first, at most the ring cap
 };
@@ -113,7 +112,7 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// Fold one completed job in: its merged sink (counters/gauges/phases,
+  /// Fold one completed job in: its merged sink (counters/gauges/spans,
   /// deterministic per-net histograms from the trace rows) plus its stage
   /// wall times.  Deadline-expired jobs pass run_ms 0.
   void note_job(const ObsSink& sink, double queue_ms, double run_ms,
@@ -133,10 +132,9 @@ class MetricsRegistry {
   std::uint64_t jobs_ = 0;
   Counters counters_;
   Gauges gauges_;
-  std::array<std::uint64_t, kPhaseCount> phase_ns_{};
-  std::array<std::uint64_t, kPhaseCount> phase_calls_{};
+  std::array<std::uint64_t, kSpanNameCount> span_ns_{};
   std::array<LatencyHistogram, kLifetimeHistCount> hist_;
-  std::array<LatencyHistogram, kPhaseCount> phase_us_;
+  std::array<LatencyHistogram, kSpanNameCount> span_us_;
   // Open window + closed ring.
   std::uint64_t window_start_ns_ = 0;
   std::uint64_t win_jobs_ = 0;

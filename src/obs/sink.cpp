@@ -5,9 +5,9 @@ namespace merlin {
 void ObsSink::merge_from(const ObsSink& o) {
   counters.merge(o.counters);
   gauges.merge(o.gauges);
-  for (std::size_t i = 0; i < kPhaseCount; ++i) {
-    phase_ns_[i] += o.phase_ns_[i];
-    phase_calls_[i] += o.phase_calls_[i];
+  for (std::size_t i = 0; i < kSpanNameCount; ++i) {
+    span_totals_[i].count += o.span_totals_[i].count;
+    span_totals_[i].total_ns += o.span_totals_[i].total_ns;
   }
   if (o.layers_.size() > layers_.size()) layers_.resize(o.layers_.size());
   for (std::size_t i = 0; i < o.layers_.size(); ++i) {
@@ -30,8 +30,7 @@ void ObsSink::merge_from(const ObsSink& o) {
 void ObsSink::clear() {
   counters = Counters{};
   gauges = Gauges{};
-  phase_ns_.fill(0);
-  phase_calls_.fill(0);
+  span_totals_.fill(SpanTotal{});
   layers_.clear();
   traces_.clear();
   net_peak_curve_width_ = 0;

@@ -85,18 +85,6 @@ class ObsSink {
   }
   [[nodiscard]] const std::vector<LayerStats>& layers() const { return layers_; }
 
-  // -- phase timers ---------------------------------------------------------
-  void add_phase(Phase p, std::uint64_t ns) {
-    phase_ns_[static_cast<std::size_t>(p)] += ns;
-    ++phase_calls_[static_cast<std::size_t>(p)];
-  }
-  [[nodiscard]] std::uint64_t phase_ns(Phase p) const {
-    return phase_ns_[static_cast<std::size_t>(p)];
-  }
-  [[nodiscard]] std::uint64_t phase_calls(Phase p) const {
-    return phase_calls_[static_cast<std::size_t>(p)];
-  }
-
   // -- per-net traces -------------------------------------------------------
   /// Reset the net-scoped window (peak-width gauge, span attribution and
   /// sequence) before routing a net.  The id attributes subsequent spans;
@@ -119,12 +107,18 @@ class ObsSink {
   void set_trace_capacity(std::size_t cap) { trace_capacity_ = cap; }
   [[nodiscard]] std::size_t trace_capacity() const { return trace_capacity_; }
 
-  // -- spans (timeline tracing) ---------------------------------------------
-  /// Arms (cap > 0) or disarms (cap == 0, the default) span recording.
-  /// Resizing clears the ring.
+  // -- spans (wall-time totals and the timeline ring) ------------------------
+  /// Wall time of every span closed on this sink, per name.  Charged
+  /// whether or not the ring is armed, so it is exact under ring overflow.
+  [[nodiscard]] const SpanTotal& span_total(SpanName n) const {
+    return span_totals_[static_cast<std::size_t>(n)];
+  }
+
+  /// Arms (cap > 0) or disarms (cap == 0, the default) the timeline ring.
+  /// Resizing clears the ring; span totals are unaffected.
   void set_span_capacity(std::size_t cap) { spans_.set_capacity(cap); }
   [[nodiscard]] std::size_t span_capacity() const { return spans_.capacity(); }
-  /// TraceSpan's gate: when false, span guards never touch the clock.
+  /// True when closed spans are also kept as timeline records.
   [[nodiscard]] bool spans_armed() const { return spans_.armed(); }
   [[nodiscard]] const SpanRing& spans() const { return spans_; }
   void clear_spans() { spans_.clear(); }
@@ -134,9 +128,18 @@ class ObsSink {
   void set_worker(std::uint32_t w) { worker_ = w; }
   [[nodiscard]] std::uint32_t worker() const { return worker_; }
 
-  /// Raw append — the merge path and the pool's scheduling callbacks use
-  /// this; the record arrives fully formed (no net/seq attribution).
-  void record_span(const SpanRecord& r) { spans_.push(r); }
+  /// Charge one closed span to its name's total, then append it to the
+  /// ring (a no-op when disarmed).  The pool's and the daemon's scheduling
+  /// records arrive here fully formed (no net/seq attribution).
+  void record_span(const SpanRecord& r) {
+    SpanTotal& t = span_totals_[static_cast<std::size_t>(r.name)];
+    ++t.count;
+    t.total_ns += r.end_ns - r.begin_ns;
+    spans_.push(r);
+  }
+  /// Ring-only append of an already-charged record (the batch reduce's
+  /// re-sorted worker records, whose totals arrive through merge_from).
+  void append_span(const SpanRecord& r) { spans_.push(r); }
 
   /// TraceSpan protocol: open returns the guard's nesting depth; close
   /// stamps net attribution, per-net sequence and worker id, then records.
@@ -154,16 +157,17 @@ class ObsSink {
     r.worker = worker_;
     r.depth = depth;
     r.name = name;
-    spans_.push(r);
+    record_span(r);
   }
 
   // -- lifecycle ------------------------------------------------------------
-  /// Fold another sink into this one: counters sum, gauges max, phases sum,
-  /// layers add elementwise, traces and spans append (capacity-capped).
+  /// Fold another sink into this one: counters sum, gauges max, span
+  /// totals sum, layers add elementwise, traces and span records append
+  /// (capacity-capped; appended records are not charged again).
   /// Serial use only — the caller sequences merges (BatchRunner merges
   /// worker sinks in worker order after wait_idle()).
   ///
-  /// Order independence: counters, gauges, phase totals and layer sums
+  /// Order independence: counters, gauges, span totals and layer sums
   /// commute, so merging any permutation of worker sinks yields identical
   /// aggregates (tests/test_obs.cpp permutes to prove it).  The appended
   /// trace/span sequences are order-sensitive, which is why BatchRunner
@@ -172,8 +176,7 @@ class ObsSink {
   void clear();
 
  private:
-  std::array<std::uint64_t, kPhaseCount> phase_ns_{};
-  std::array<std::uint64_t, kPhaseCount> phase_calls_{};
+  std::array<SpanTotal, kSpanNameCount> span_totals_{};
   std::vector<LayerStats> layers_;
   std::vector<TraceRecord> traces_;
   std::size_t trace_capacity_ = kDefaultTraceCapacity;
@@ -212,34 +215,6 @@ inline void obs_layer(ObsSink* s, std::size_t layer, std::uint64_t pushed,
   }
 }
 
-/// RAII phase timer: charges the enclosed scope's wall time to one Phase
-/// bucket of the sink.  Null sink (or obs-off build) → does nothing.
-class ScopedTimer {
- public:
-  ScopedTimer(ObsSink* sink, Phase phase) : sink_(sink), phase_(phase) {
-    if constexpr (kObsEnabled) {
-      if (sink_) start_ = std::chrono::steady_clock::now();
-    }
-  }
-  ~ScopedTimer() {
-    if constexpr (kObsEnabled) {
-      if (sink_) {
-        auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now() - start_)
-                      .count();
-        sink_->add_phase(phase_, static_cast<std::uint64_t>(ns));
-      }
-    }
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  ObsSink* sink_;
-  Phase phase_;
-  std::chrono::steady_clock::time_point start_{};
-};
-
 /// Steady-clock nanoseconds; the common epoch of every span timestamp
 /// (including the pool's scheduling callbacks, which use the same clock).
 inline std::uint64_t obs_now_ns() {
@@ -249,17 +224,17 @@ inline std::uint64_t obs_now_ns() {
           .count());
 }
 
-/// RAII span guard: opens a timeline span on construction, closes and
-/// records it on destruction.  Engages only when the sink is non-null AND
-/// its span ring is armed (capacity > 0) — a disarmed sink costs one branch
-/// and no clock reads — and compiles to nothing under -DMERLIN_OBS=OFF,
-/// exactly like ScopedTimer.  `arg` carries the name-specific detail
-/// (DP layer L, iteration index, net fanout; see SpanName).
+/// RAII span guard — the one wall-clock hook of the engines.  Opens a span
+/// on construction; on destruction charges its wall time to the sink's
+/// per-name total and, when the ring is armed, records it on the timeline.
+/// A null sink costs one branch and no clock reads, and the guard compiles
+/// to nothing under -DMERLIN_OBS=OFF.  `arg` carries the name-specific
+/// detail (DP layer L, iteration index, net fanout; see SpanName).
 class TraceSpan {
  public:
   explicit TraceSpan(ObsSink* sink, SpanName name, std::uint64_t arg = 0) {
     if constexpr (kObsEnabled) {
-      if (sink != nullptr && sink->spans_armed()) {
+      if (sink != nullptr) {
         sink_ = sink;
         name_ = name;
         arg_ = arg;

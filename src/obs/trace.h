@@ -23,6 +23,11 @@
 // ring is scheduling; the batch engine therefore sizes worker rings to the
 // aggregate capacity and callers who want loss-free traces size the
 // capacity to the workload (docs/OBSERVABILITY.md, "Tracing").
+//
+// Independently of the ring, every closed span is charged to its sink's
+// per-name SpanTotal.  Those totals are the only wall-time breakdown the
+// stats export carries (`runtime.spans`, `lifetime.spans`), so they stay
+// exact when the ring overflows or was never armed.
 
 #include <cstddef>
 #include <cstdint>
@@ -54,8 +59,10 @@ enum class SpanName : std::uint8_t {
   kPoolSteal,        ///< instant: the next task was stolen (FIFO victim)
   kServeQueue,       ///< daemon job admission→dispatch wait (arg = job id)
   kServeRequest,     ///< daemon job dispatch→completion (arg = job id)
+  kCount,
 };
-inline constexpr std::size_t kSpanNameCount = 17;
+inline constexpr std::size_t kSpanNameCount =
+    static_cast<std::size_t>(SpanName::kCount);
 
 [[nodiscard]] constexpr const char* span_name(SpanName s) {
   switch (s) {
@@ -76,6 +83,7 @@ inline constexpr std::size_t kSpanNameCount = 17;
     case SpanName::kPoolSteal: return "pool.steal";
     case SpanName::kServeQueue: return "serve.queue";
     case SpanName::kServeRequest: return "serve.request";
+    case SpanName::kCount: break;
   }
   return "unknown";
 }
@@ -102,10 +110,18 @@ struct SpanRecord {
   [[nodiscard]] bool scheduling() const { return net_id == kNoTraceNet; }
 };
 
-/// Fixed-capacity span storage.  Capacity 0 (the default) means tracing is
-/// disarmed and push() is a no-op — TraceSpan checks this before touching
-/// the clock, so an armed stats run without --trace-out pays nothing.  At
-/// capacity the oldest record is overwritten, tallied by dropped().
+/// Wall time charged to one span name: spans closed and their summed
+/// duration.  ObsSink keeps one per name, charged where each span closes,
+/// whether or not its ring is armed.
+struct SpanTotal {
+  std::uint64_t count = 0;
+  std::uint64_t total_ns = 0;
+};
+
+/// Fixed-capacity span storage.  Capacity 0 (the default) means the
+/// timeline is disarmed and push() is a no-op; span totals are kept
+/// regardless (ObsSink).  At capacity the oldest record is overwritten,
+/// tallied by dropped().
 class SpanRing {
  public:
   [[nodiscard]] std::size_t capacity() const { return cap_; }
@@ -146,9 +162,10 @@ class SpanRing {
   std::uint64_t dropped_ = 0;
 };
 
-/// Per-name rollup of a sink's span ring, for the stats JSON `runtime`
-/// section (wall times: non-deterministic by nature).  Ascending enum
-/// order, names with zero spans omitted.
+/// Per-name rollup of a sink's span totals, for the stats JSON `runtime`
+/// section (wall times: non-deterministic by nature).  Exact even when the
+/// ring overflowed or was never armed.  Ascending enum order, names with
+/// zero spans omitted.
 struct SpanSummary {
   SpanName name = SpanName::kBatchNet;
   std::uint64_t count = 0;

@@ -480,7 +480,7 @@ JobOutcome ServerCore::run_one(const QueuedJob& job, double queue_ms,
     out.wall_ms = ns_to_ms(now_ns() - t0);
   }
   // Lifetime accounting happens for every job that dispatched, failed or
-  // not: the registry folds the merged sink in (counters/gauges/phases,
+  // not: the registry folds the merged sink in (counters/gauges/spans,
   // deterministic per-net histograms) plus the three wall-clock stages.
   registry_.note_job(sink, queue_ms, out.wall_ms, queue_ms + out.wall_ms,
                      queue_.size());

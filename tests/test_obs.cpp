@@ -54,6 +54,15 @@ Circuit test_circuit(std::uint64_t seed) {
   return make_random_circuit(spec, make_standard_library());
 }
 
+/// Charge one closed span of `ns` nanoseconds to the sink's totals (the
+/// ring, disarmed by default, keeps nothing).
+void charge_span(ObsSink& sink, SpanName name, std::uint64_t ns) {
+  SpanRecord r;
+  r.name = name;
+  r.end_ns = ns;
+  sink.record_span(r);
+}
+
 BatchResult run_batch(const Circuit& ckt, const BufferLibrary& lib,
                       std::size_t threads, ObsSink* sink) {
   BatchOptions opts;
@@ -95,8 +104,6 @@ TEST(Names, EveryEnumeratorHasAUniqueSnakeCaseName) {
     seen.emplace_back(counter_name(static_cast<Counter>(i)));
   for (std::size_t i = 0; i < kGaugeCount; ++i)
     seen.emplace_back(gauge_name(static_cast<Gauge>(i)));
-  for (std::size_t i = 0; i < kPhaseCount; ++i)
-    seen.emplace_back(phase_name(static_cast<Phase>(i)));
   for (const std::string& n : seen) {
     EXPECT_FALSE(n.empty());
     for (char c : n)
@@ -158,7 +165,7 @@ TEST(Recording, CountersAreMonotoneAcrossRuns) {
   }
   EXPECT_GT(sink.counters.get(Counter::kCurvePointsPushed), 0u);
   EXPECT_GT(sink.counters.get(Counter::kBubbleRuns), 0u);
-  EXPECT_GT(sink.phase_calls(Phase::kBubbleConstruct), 0u);
+  EXPECT_GT(sink.span_total(SpanName::kBubbleConstruct).count, 0u);
 }
 
 TEST(Recording, CurveAccountingBalances) {
@@ -233,7 +240,7 @@ TEST(Json, ExportRoundTripsThroughTheParser) {
   sink.add(Counter::kCurvePointsPruned, 45);
   sink.add(Counter::kGammaCacheHits, 7);
   sink.maximize(Gauge::kCurvePeakWidth, 33);
-  sink.add_phase(Phase::kBubbleConstruct, 1500);
+  charge_span(sink, SpanName::kBubbleConstruct, 1500);
   sink.record_layer(2, 100, 40, 60);
   sink.record_trace(TraceRecord{4, 9, 250, 33, 2, 3});
   sink.record_trace(TraceRecord{7, 5, 90, 12, 1, 1});
@@ -257,7 +264,11 @@ TEST(Json, ExportRoundTripsThroughTheParser) {
               static_cast<double>(sink.counters.get(c)));
   }
   EXPECT_EQ(doc.at("gauges").at("curve_peak_width").number, 33.0);
-  EXPECT_EQ(doc.at("phases").at("bubble_construct").at("total_ns").number, 1500.0);
+  EXPECT_FALSE(doc.has("phases"));  // v7: wall time lives in runtime.spans
+  const JsonValue& spans = doc.at("runtime").at("spans");
+  ASSERT_EQ(spans.array.size(), 1u);
+  EXPECT_EQ(spans.array[0].at("name").string, "bubble.construct");
+  EXPECT_EQ(spans.array[0].at("total_ns").number, 1500.0);
   ASSERT_EQ(doc.at("nets").array.size(), 2u);
   EXPECT_EQ(doc.at("nets").array[0].at("net_id").number, 4.0);
   EXPECT_EQ(doc.at("nets").array[1].at("wall_us").number, 90.0);
@@ -314,13 +325,13 @@ TEST(Json, LifetimeSectionHasDisabledAndEnabledShapes) {
   EXPECT_EQ(bare.at("lifetime").at("enabled").number, 0.0);
   EXPECT_FALSE(bare.at("lifetime").has("jobs"));
 
-  // Daemon shape: a snapshot fills jobs/counters/hists/phases/windows.
+  // Daemon shape: a snapshot fills jobs/counters/hists/spans/windows.
   LifetimeSnapshot snap;
   snap.enabled = 1;
   snap.jobs = 3;
   snap.counters.add(Counter::kBuffersInserted, 7);
   snap.hist[static_cast<std::size_t>(LifetimeHist::kE2eUs)].record(1500);
-  snap.phase_us[static_cast<std::size_t>(Phase::kBubbleConstruct)].record(40);
+  snap.span_us[static_cast<std::size_t>(SpanName::kBubbleConstruct)].record(40);
   snap.window_s = 10;
   snap.windows.push_back(WindowSample{3, 1, 2, 0.3});
 
@@ -334,9 +345,10 @@ TEST(Json, LifetimeSectionHasDisabledAndEnabledShapes) {
     ASSERT_TRUE(lt.at("hists").has(
         lifetime_hist_name(static_cast<LifetimeHist>(i))));
   EXPECT_EQ(lt.at("hists").at("e2e_us").at("count").number, 1.0);
-  // Zero-count phase histograms are elided to keep the section compact.
-  EXPECT_TRUE(lt.at("phases").has("bubble_construct"));
-  EXPECT_EQ(lt.at("phases").object.size(), 1u);
+  // Zero-count span histograms are elided to keep the section compact.
+  EXPECT_FALSE(lt.has("phases"));
+  EXPECT_TRUE(lt.at("spans").has("bubble.construct"));
+  EXPECT_EQ(lt.at("spans").object.size(), 1u);
   ASSERT_EQ(lt.at("windows").array.size(), 1u);
   EXPECT_EQ(lt.at("windows").array[0].at("req_s").number, 0.3);
 }
@@ -355,22 +367,22 @@ TEST(Json, ParserHandlesEscapesNestingAndErrors) {
   EXPECT_THROW(json_parse("nope"), std::invalid_argument);
 }
 
-TEST(Sink, MergeFromSumsCountersAndPhasesAndKeepsGaugeMaxima) {
+TEST(Sink, MergeFromSumsCountersAndSpanTotalsAndKeepsGaugeMaxima) {
   ObsSink a, b;
   a.add(Counter::kBuffersInserted, 2);
   a.maximize(Gauge::kCurvePeakWidth, 5);
-  a.add_phase(Phase::kPtreeDp, 100);
+  charge_span(a, SpanName::kPtreeDp, 100);
   a.record_layer(2, 10, 4, 6);
   b.add(Counter::kBuffersInserted, 3);
   b.maximize(Gauge::kCurvePeakWidth, 9);
-  b.add_phase(Phase::kPtreeDp, 50);
+  charge_span(b, SpanName::kPtreeDp, 50);
   b.record_layer(2, 20, 8, 12);
   b.record_layer(3, 5, 1, 4);
   a.merge_from(b);
   EXPECT_EQ(a.counters.get(Counter::kBuffersInserted), 5u);
   EXPECT_EQ(a.gauges.get(Gauge::kCurvePeakWidth), 9u);
-  EXPECT_EQ(a.phase_ns(Phase::kPtreeDp), 150u);
-  EXPECT_EQ(a.phase_calls(Phase::kPtreeDp), 2u);
+  EXPECT_EQ(a.span_total(SpanName::kPtreeDp).total_ns, 150u);
+  EXPECT_EQ(a.span_total(SpanName::kPtreeDp).count, 2u);
   ASSERT_GE(a.layers().size(), 4u);
   EXPECT_EQ(a.layers()[2].pushed, 30u);
   EXPECT_EQ(a.layers()[3].kept, 4u);
@@ -378,15 +390,16 @@ TEST(Sink, MergeFromSumsCountersAndPhasesAndKeepsGaugeMaxima) {
 
 TEST(Sink, MergeFromIsOrderIndependent) {
   // The batch engine merges one sink per worker after the pool drains, and
-  // nothing about the merge may depend on worker order: counters and phases
-  // are sums, gauges maxima, layer stats elementwise sums — all commutative.
-  // Build three distinct worker sinks and merge them in every permutation.
+  // nothing about the merge may depend on worker order: counters and span
+  // totals are sums, gauges maxima, layer stats elementwise sums — all
+  // commutative.  Build three distinct worker sinks and merge them in every
+  // permutation.
   const auto make_worker = [](std::uint64_t salt) {
     ObsSink s;
     s.add(Counter::kBuffersInserted, 1 + salt);
     s.add(Counter::kCurvePointsPushed, 10 * salt);
     s.maximize(Gauge::kCurvePeakWidth, 3 * salt + 1);
-    s.add_phase(Phase::kPtreeDp, 100 + salt);
+    charge_span(s, SpanName::kPtreeDp, 100 + salt);
     s.record_layer(2 + salt % 2, 10 + salt, 4, 6 + salt);
     return s;
   };
@@ -401,11 +414,10 @@ TEST(Sink, MergeFromIsOrderIndependent) {
     ASSERT_EQ(agg.layers().size(), reference.layers().size());
     for (std::size_t l = 0; l < agg.layers().size(); ++l)
       EXPECT_TRUE(agg.layers()[l] == reference.layers()[l]) << "layer " << l;
-    for (std::size_t p = 0; p < kPhaseCount; ++p) {
-      EXPECT_EQ(agg.phase_ns(static_cast<Phase>(p)),
-                reference.phase_ns(static_cast<Phase>(p)));
-      EXPECT_EQ(agg.phase_calls(static_cast<Phase>(p)),
-                reference.phase_calls(static_cast<Phase>(p)));
+    for (std::size_t i = 0; i < kSpanNameCount; ++i) {
+      const auto n = static_cast<SpanName>(i);
+      EXPECT_EQ(agg.span_total(n).total_ns, reference.span_total(n).total_ns);
+      EXPECT_EQ(agg.span_total(n).count, reference.span_total(n).count);
     }
   } while (std::next_permutation(order.begin(), order.end()));
 }
@@ -435,15 +447,13 @@ TEST(SpanRing, AtCapacityTheOldestRecordIsDroppedDeterministically) {
   EXPECT_EQ(ring.dropped(), 0u);
 }
 
-TEST(Sink, ScopedTimerChargesItsPhase) {
-  ObsSink sink;
-  { ScopedTimer t(&sink, Phase::kBatchReduce); }
-  if (kObsEnabled) {
-    EXPECT_EQ(sink.phase_calls(Phase::kBatchReduce), 1u);
-  } else {
-    EXPECT_EQ(sink.phase_calls(Phase::kBatchReduce), 0u);
-  }
-  { ScopedTimer t(nullptr, Phase::kBatchReduce); }  // null sink: no-op
+TEST(Sink, TraceSpanChargesTotalsOnADisarmedSink) {
+  ObsSink sink;  // ring disarmed: the span is charged, not recorded
+  { TraceSpan t(&sink, SpanName::kBatchReduce); }
+  EXPECT_EQ(sink.span_total(SpanName::kBatchReduce).count,
+            kObsEnabled ? 1u : 0u);
+  EXPECT_EQ(sink.spans().size(), 0u);
+  { TraceSpan t(nullptr, SpanName::kBatchReduce); }  // null sink: no-op
 }
 
 }  // namespace

@@ -146,13 +146,16 @@ ObsSink job_sink(std::uint64_t seed) {
   ObsSink s;
   s.add(Counter::kBuffersInserted, 3 + seed);
   s.maximize(Gauge::kCurvePeakWidth, 10 * seed);
-  s.add_phase(Phase::kBubbleConstruct, 5000 * seed);
+  SpanRecord bubble;  // one closed bubble.construct span of 5000*seed ns
+  bubble.name = SpanName::kBubbleConstruct;
+  bubble.end_ns = 5000 * seed;
+  s.record_span(bubble);
   s.record_trace(TraceRecord{static_cast<std::size_t>(seed), 4, 100 * seed,
                              7 + seed, 1, static_cast<std::size_t>(2 + seed)});
   return s;
 }
 
-TEST(Registry, AccumulatesJobsCountersHistogramsAndPhases) {
+TEST(Registry, AccumulatesJobsCountersHistogramsAndSpans) {
   if (!kObsEnabled) GTEST_SKIP() << "built with MERLIN_OBS=OFF";
   MetricsRegistry reg;
   reg.note_job(job_sink(1), /*queue_ms=*/1.0, /*run_ms=*/2.0, /*e2e_ms=*/3.0,
@@ -164,10 +167,9 @@ TEST(Registry, AccumulatesJobsCountersHistogramsAndPhases) {
   EXPECT_EQ(snap.jobs, 2u);
   EXPECT_EQ(snap.counters.get(Counter::kBuffersInserted), 9u);  // 4 + 5
   EXPECT_EQ(snap.gauges.get(Gauge::kCurvePeakWidth), 20u);      // high water
-  const auto bc = static_cast<std::size_t>(Phase::kBubbleConstruct);
-  EXPECT_EQ(snap.phase_ns[bc], 15000u);
-  EXPECT_EQ(snap.phase_calls[bc], 2u);
-  EXPECT_EQ(snap.phase_us[bc].count(), 2u);  // one sample per job
+  const auto bc = static_cast<std::size_t>(SpanName::kBubbleConstruct);
+  EXPECT_EQ(snap.span_ns[bc], 15000u);
+  EXPECT_EQ(snap.span_us[bc].count(), 2u);  // one sample per job
 
   using H = LifetimeHist;
   EXPECT_EQ(snap.hist[static_cast<std::size_t>(H::kQueueUs)].count(), 2u);
@@ -262,6 +264,8 @@ TEST(Registry, MetricsJsonParsesAndPrometheusIsWellFormed) {
   if (kObsEnabled) {
     EXPECT_EQ(doc.at("lifetime").at("enabled").number, 1.0);
     EXPECT_EQ(doc.at("lifetime").at("jobs").number, 1.0);
+    // A daemon job always has a sink, so its net spans reach the registry.
+    EXPECT_TRUE(doc.at("lifetime").at("spans").has("batch.net"));
   } else {
     EXPECT_EQ(doc.at("lifetime").at("enabled").number, 0.0);
   }
@@ -271,6 +275,8 @@ TEST(Registry, MetricsJsonParsesAndPrometheusIsWellFormed) {
   EXPECT_NE(prom.find("merlin_jobs_total"), std::string::npos);
   EXPECT_NE(prom.find("merlin_serve_jobs_admitted_total 1"), std::string::npos);
   EXPECT_NE(prom.find("# TYPE merlin_lifetime_hist summary"),
+            std::string::npos);
+  EXPECT_NE(prom.find("merlin_span_ns_total{span=\"batch.net\"} "),
             std::string::npos);
   std::istringstream lines(prom);
   std::string line;

@@ -10,11 +10,15 @@
 //   * the Perfetto export is valid Chrome trace-event JSON (validated with
 //     the bundled parser) with one thread track per pool worker;
 //   * a disarmed ring (the default) records nothing, and the MERLIN_OBS=OFF
-//     build compiles TraceSpan out entirely.
+//     build compiles TraceSpan out entirely;
+//   * span totals close over the engine counters — one bubble.construct
+//     per bubble_run, one merlin.iteration per merlin_iteration, ... — and
+//     match the armed ring's per-name counts whenever it dropped nothing.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -58,10 +62,11 @@ Circuit test_circuit(std::uint64_t seed) {
 }
 
 BatchResult run_traced_batch(const Circuit& ckt, const BufferLibrary& lib,
-                             std::size_t threads, ObsSink* sink) {
+                             std::size_t threads, ObsSink* sink,
+                             FlowKind flow = FlowKind::kFlow3) {
   BatchOptions opts;
   opts.threads = threads;
-  opts.flow = FlowKind::kFlow3;
+  opts.flow = flow;
   opts.scaled_config = false;
   opts.config = fast_cfg();
   opts.obs = sink;
@@ -282,12 +287,85 @@ TEST(Trace, StatsJsonQuarantinesSpanRollupsInRuntime) {
 
   const JsonValue doc = json_parse(stats_to_json(sink));
   EXPECT_EQ(doc.at("schema_version").number, kStatsSchemaVersion);
+  EXPECT_FALSE(doc.has("phases"));
   const JsonValue& rt = doc.at("runtime");
   EXPECT_EQ(rt.at("span_count").number, 4.0);
   EXPECT_EQ(rt.at("spans_dropped").number, 2.0);
   ASSERT_EQ(rt.at("spans").array.size(), 1u);
+  // The rollup comes from the span totals, so it counts the dropped spans
+  // too: exact, not limited to what the ring kept.
   EXPECT_EQ(rt.at("spans").array[0].at("name").string, "ptree.dp");
-  EXPECT_EQ(rt.at("spans").array[0].at("count").number, 4.0);
+  EXPECT_EQ(rt.at("spans").array[0].at("count").number, 6.0);
+  EXPECT_EQ(rt.at("spans").array[0].at("total_ns").number, 120.0);
+}
+
+/// Span count per name as exported in a stats document's runtime.spans
+/// (0 when the name is absent).
+std::uint64_t exported_span_count(const JsonValue& doc, const char* name) {
+  for (const JsonValue& s : doc.at("runtime").at("spans").array)
+    if (s.at("name").string == name)
+      return static_cast<std::uint64_t>(s.at("count").number);
+  return 0;
+}
+
+/// Spans the batch engine records outside any net: the reduce, pool
+/// scheduling and daemon request spans.
+bool scheduling_name(SpanName n) {
+  return n == SpanName::kBatchReduce || n == SpanName::kPoolIdle ||
+         n == SpanName::kPoolSteal || n == SpanName::kServeQueue ||
+         n == SpanName::kServeRequest;
+}
+
+TEST(Trace, SpanTotalsCloseOverEngineCountersInStatsOnlyRuns) {
+  if (!kObsEnabled) GTEST_SKIP() << "built with MERLIN_OBS=OFF";
+  const BufferLibrary lib = make_standard_library();
+  const Circuit ckt = test_circuit(7);
+  for (const FlowKind flow :
+       {FlowKind::kFlow1, FlowKind::kFlow2, FlowKind::kFlow3}) {
+    SCOPED_TRACE("flow " + std::to_string(static_cast<int>(flow)));
+    // Stats-only runs: a sink attached, its ring disarmed.
+    ObsSink s1, s4;
+    run_traced_batch(ckt, lib, 1, &s1, flow);
+    run_traced_batch(ckt, lib, 4, &s4, flow);
+    ASSERT_FALSE(s1.spans_armed());
+    EXPECT_EQ(s1.spans().size(), 0u);
+
+    // Each engine invocation is one span of its name, in the export too.
+    const JsonValue doc = json_parse(stats_to_json(s1));
+    const JsonValue& c = doc.at("counters");
+    const std::pair<const char*, const char*> closure[] = {
+        {"bubble.construct", "bubble_runs"},
+        {"merlin.iteration", "merlin_iterations"},
+        {"ptree.dp", "ptree_runs"},
+        {"lttree.dp", "lttree_runs"},
+        {"vangin.dp", "vangin_runs"},
+    };
+    for (const auto& [span, counter] : closure)
+      EXPECT_EQ(exported_span_count(doc, span),
+                static_cast<std::uint64_t>(c.at(counter).number))
+          << span << " vs " << counter;
+    EXPECT_GT(exported_span_count(doc, "batch.net"), 0u);
+
+    // The armed run's per-name counts of net-attributed records, from a
+    // ring large enough that it dropped nothing.
+    ObsSink armed;
+    armed.set_span_capacity(ObsSink::kDefaultSpanCapacity);
+    run_traced_batch(ckt, lib, 4, &armed, flow);
+    ASSERT_EQ(armed.spans().dropped(), 0u);
+    std::array<std::uint64_t, kSpanNameCount> ring_counts{};
+    for (const SpanRecord& r : armed.spans().snapshot())
+      if (!r.scheduling()) ++ring_counts[static_cast<std::size_t>(r.name)];
+
+    for (std::size_t i = 0; i < kSpanNameCount; ++i) {
+      const auto n = static_cast<SpanName>(i);
+      if (scheduling_name(n)) continue;
+      EXPECT_EQ(s1.span_total(n).count, s4.span_total(n).count)
+          << span_name(n) << ": 1-vs-4-thread span count";
+      EXPECT_EQ(s1.span_total(n).count, ring_counts[i])
+          << span_name(n) << ": totals vs armed ring";
+      EXPECT_EQ(armed.span_total(n).count, ring_counts[i]) << span_name(n);
+    }
+  }
 }
 
 }  // namespace

@@ -94,8 +94,8 @@ int render_tables(const std::string& json) {
   merlin::TextTable hists({"hist", "count", "p50", "p90", "p99", "p999", "max"});
   if (lt.has("hists"))
     for (const auto& [name, h] : lt.at("hists").object) hist_row(hists, name, h);
-  if (lt.has("phases"))
-    for (const auto& [name, h] : lt.at("phases").object) hist_row(hists, name, h);
+  if (lt.has("spans"))
+    for (const auto& [name, h] : lt.at("spans").object) hist_row(hists, name, h);
   std::printf("%s", hists.render().c_str());
   if (lt.has("windows") && !lt.at("windows").array.empty()) {
     merlin::TextTable wins({"window", "jobs", "req_s", "queue", "shed"});
