@@ -40,7 +40,7 @@ class ObsSink;
 
 /// Every span the engines emit.  Names are dotted `subsystem.what` — the
 /// vocabulary is documented (with paper anchors) in docs/OBSERVABILITY.md's
-/// span table, which tools/check_docs.sh stale-checks against this header.
+/// span table, which tests/test_docs.cpp checks against span_name().
 enum class SpanName : std::uint8_t {
   kBatchNet,         ///< one batch task: a net end-to-end (arg = fanout)
   kBatchReduce,      ///< post-drain serial merge of the worker sinks

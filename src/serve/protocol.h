@@ -13,11 +13,9 @@
 // strictly synchronous per connection, and concurrency comes from opening
 // several connections (bench_serve's client sweep does exactly that).
 //
-// The message and error vocabularies below are dotted `kind.what` names,
-// documented in docs/SERVING.md's wire tables, which tools/check_docs.sh
-// (gate 7) stale-checks against this header in both directions.  Keep the
-// dotted return-string literals in this file confined to msg_type_name and
-// serve_error_name — the gate greps the whole header for that pattern.
+// The message and error vocabularies below are dotted `kind.what` names;
+// docs/SERVING.md's wire tables must list exactly these names and codes
+// (tests/test_docs.cpp).
 //
 // Versioning: kWireVersion is carried in every pong; bump it on any frame
 // or payload layout change and document the migration in docs/SERVING.md.
@@ -36,7 +34,7 @@ inline constexpr std::uint32_t kWireMagic = 0x4E4C524Du;
 /// and err.deadline / err.overloaded / err.no_snapshot joined the error
 /// vocabulary (docs/SERVING.md, "Protocol revision 2").  v3: req.metrics /
 /// resp.metrics joined the vocabulary — the daemon's process-lifetime
-/// telemetry in both merlin.stats v6 JSON and Prometheus text form
+/// telemetry in both merlin.stats JSON and Prometheus text form
 /// (docs/SERVING.md, "Protocol revision 3").
 inline constexpr std::uint32_t kWireVersion = 3;
 /// Frame header bytes: u32 magic + u8 type + u32 payload length.
@@ -285,7 +283,7 @@ struct StatusResp {
   [[nodiscard]] bool decode(std::string_view payload);
 };
 
-/// resp.stats — the job's merlin.stats JSON document (v6).
+/// resp.stats — the job's merlin.stats JSON document (kStatsSchemaVersion).
 struct StatsResp {
   std::uint64_t job_id = 0;
   std::string json;
@@ -294,7 +292,7 @@ struct StatsResp {
 };
 
 /// resp.metrics — the daemon's process-lifetime telemetry, rendered both
-/// ways at once: a merlin.stats v6 document whose `lifetime` section is
+/// ways at once: a merlin.stats document whose `lifetime` section is
 /// populated (the `counters`/`nets` sections describe no single job and
 /// stay empty), and the same registry snapshot in Prometheus text
 /// exposition format for scrapers.  req.metrics carries no payload.  v3.

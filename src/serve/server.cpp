@@ -218,10 +218,10 @@ bool ServerCore::save_snapshot(std::string* error) {
 }
 
 std::string ServerCore::metrics_json() const {
-  // A merlin.stats v6 document about the PROCESS, not any one job: the
-  // per-job sections (counters/nets/latency_us...) come from an empty sink
-  // and stay zero; `lifetime` carries the registry and `serve` the
-  // survivability rollup.  request.source "serve" with job id 0.
+  // A merlin.stats document (kStatsSchemaVersion) about the PROCESS, not
+  // any one job: the per-job sections (counters/nets/latency_us...) come
+  // from an empty sink and stay zero; `lifetime` carries the registry and
+  // `serve` the survivability rollup.  request.source "serve" with job id 0.
   const ObsSink empty;
   RequestInfo req;
   req.source = "serve";

@@ -110,7 +110,7 @@ struct JobOutcome {
   std::uint64_t digest = 0;   ///< batch_result_digest of the full result
   double queue_ms = 0.0;      ///< admission → dispatch wait
   double wall_ms = 0.0;       ///< dispatch → completion
-  std::string stats_json;     ///< merlin.stats v6 (request.id = job id)
+  std::string stats_json;     ///< merlin.stats JSON (request.id = job id)
   /// Full result, only under ServeOptions::keep_results.
   std::shared_ptr<const BatchResult> result;
 };
@@ -190,8 +190,8 @@ class ServerCore {
   /// The process-lifetime telemetry registry (every completed job is folded
   /// in by the scheduler; tests read it directly).
   [[nodiscard]] const MetricsRegistry& registry() const { return registry_; }
-  /// The req.metrics JSON: a merlin.stats v6 document whose `lifetime`
-  /// section carries the registry snapshot (no per-job sections).
+  /// The req.metrics JSON (merlin.stats, kStatsSchemaVersion): `lifetime`
+  /// carries the registry snapshot; there are no per-job sections.
   [[nodiscard]] std::string metrics_json() const;
   /// The same registry snapshot in Prometheus text exposition format.
   [[nodiscard]] std::string metrics_prometheus() const;

@@ -67,6 +67,17 @@ TEST(ServeFrame, FrameRoundTripsEveryRequestAndResponseType) {
   }
 }
 
+TEST(ServeFrame, MsgTypeKnownAcceptsExactlyTheNamedTypes) {
+  // msg_type_known keeps hand-written ranges; every named type must be in
+  // them and nothing else may be.
+  for (unsigned raw = 0; raw <= 255; ++raw) {
+    const std::uint8_t b = static_cast<std::uint8_t>(raw);
+    EXPECT_EQ(msg_type_known(b),
+              std::string(msg_type_name(static_cast<MsgType>(b))) != "unknown")
+        << "type byte " << raw;
+  }
+}
+
 TEST(ServeFrame, PayloadStructsRoundTrip) {
   SubmitCircuitReq c;
   c.gates = 123;
