@@ -1,13 +1,16 @@
 #include "core/bubble.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
 #include "cache/shard.h"
 #include "core/grouping.h"
 #include "runtime/guard.h"
+#include "runtime/pool.h"
 
 namespace merlin {
 
@@ -101,21 +104,44 @@ class LayerTable {
 
 inline constexpr double kDefaultWidth[] = {1.0};
 
+// The candidate locations P and, per location, the candidates a wire
+// extension may start from (see BubbleConfig::extension_neighbors), nearest
+// first.  Fixed for the run and read by every lane.
+struct Candidates {
+  std::vector<Point> pts;
+  std::vector<std::vector<std::uint32_t>> neigh;
+
+  Candidates(std::vector<Point> pts_, std::size_t extension_neighbors)
+      : pts(std::move(pts_)), neigh(pts.size()) {
+    const std::size_t k = pts.size();
+    std::vector<std::uint32_t> all(k);
+    for (std::uint32_t p = 0; p < k; ++p) all[p] = p;
+    for (std::uint32_t p = 0; p < k; ++p) {
+      std::vector<std::uint32_t> order_by_dist = all;
+      std::sort(order_by_dist.begin(), order_by_dist.end(),
+                [&](std::uint32_t a, std::uint32_t b) {
+                  return manhattan(pts[a], pts[p]) < manhattan(pts[b], pts[p]);
+                });
+      const std::size_t keep =
+          extension_neighbors == 0 ? k
+                                   : std::min<std::size_t>(k, extension_neighbors + 1);
+      for (std::size_t t = 0; t < keep; ++t)
+        if (order_by_dist[t] != p) neigh[p].push_back(order_by_dist[t]);
+    }
+  }
+};
+
+// Where one participant builds curves: the run arena for the serial
+// length-1 initialization, a lane's overlay arena for a layer's groups.
+// `cfg` routes every obs pointer to the sink that participant owns.
 struct Workspace {
   const Net& net;
   const BufferLibrary& lib;
   const BubbleConfig& cfg;
-  const Order& order;
+  const std::vector<Point>& pts;
+  const std::vector<std::vector<std::uint32_t>>& neigh;
   SolutionArena& arena;
-  std::vector<Point> pts;
   std::size_t k = 0;
-  std::size_t source_p = 0;
-  std::size_t n = 0;
-  GammaTable gamma;
-  std::size_t layer_calls = 0;
-  /// neigh[p]: candidate indices wire-extension is allowed from (see
-  /// BubbleConfig::extension_neighbors), nearest first.
-  std::vector<std::vector<std::uint32_t>> neigh;
   std::vector<Point> neigh_pts_scratch;
   // Per-layer-call scratch, reused across the whole construction so curve
   // and table capacity warms up once (see LayerTable::prepare).
@@ -131,26 +157,30 @@ struct Workspace {
   }
 
   Workspace(const Net& net_, const BufferLibrary& lib_, const BubbleConfig& cfg_,
-            const Order& order_, SolutionArena& arena_, std::vector<Point> pts_)
-      : net(net_), lib(lib_), cfg(cfg_), order(order_), arena(arena_),
-        pts(std::move(pts_)), k(pts.size()), n(net_.fanout()),
-        gamma(net_.fanout(), pts.size()) {
-    neigh.resize(k);
-    std::vector<std::uint32_t> all(k);
-    for (std::uint32_t p = 0; p < k; ++p) all[p] = p;
-    for (std::uint32_t p = 0; p < k; ++p) {
-      std::vector<std::uint32_t> order_by_dist = all;
-      std::sort(order_by_dist.begin(), order_by_dist.end(),
-                [&](std::uint32_t a, std::uint32_t b) {
-                  return manhattan(pts[a], pts[p]) < manhattan(pts[b], pts[p]);
-                });
-      const std::size_t keep =
-          cfg.extension_neighbors == 0
-              ? k
-              : std::min<std::size_t>(k, cfg.extension_neighbors + 1);
-      for (std::size_t t = 0; t < keep; ++t)
-        if (order_by_dist[t] != p) neigh[p].push_back(order_by_dist[t]);
-    }
+            const Candidates& cand, SolutionArena& arena_)
+      : net(net_), lib(lib_), cfg(cfg_), pts(cand.pts), neigh(cand.neigh),
+        arena(arena_), k(cand.pts.size()) {}
+};
+
+// One lane of a layer's fork-join: the obs sink and workspace of whichever
+// participant drives it (parallel_for hands each lane to one participant at
+// a time).  The workspace builds into one of the run arena's overlays,
+// which the run arena keeps warm across runs (SolutionArena::overlay).  The
+// config is the run's with every sink pointer redirected to the lane sink,
+// which the caller folds into the run sink after the compute phase.
+struct Lane {
+  ObsSink sink;
+  BubbleConfig cfg;
+  Workspace ws;  ///< ws.arena is the lane's overlay
+
+  Lane(const Net& net, const BufferLibrary& lib, const BubbleConfig& run_cfg,
+       const Candidates& cand, SolutionArena& overlay)
+      : cfg(lane_config(run_cfg, &sink)), ws(net, lib, cfg, cand, overlay) {}
+
+  static BubbleConfig lane_config(BubbleConfig c, ObsSink* lane_sink) {
+    c.obs = c.inner_prune.obs = c.group_prune.obs =
+        c.obs != nullptr ? lane_sink : nullptr;
+    return c;
   }
 };
 
@@ -159,7 +189,9 @@ struct Workspace {
 // where one terminal may be an already-built sub-group represented by its
 // child curves X (one curve per root location, viewed in place in the Gamma
 // table).  Fills `routed` with the full-range curve per candidate location.
-void layer_ptree(Workspace& ws, const std::vector<Terminal>& seq,
+// Its step charge and fault site belong to the serial plan (see
+// plan_call), so a lane only polls the wall-clock deadline here.
+void layer_ptree(Workspace& ws, std::span<const Terminal> seq,
                  std::span<const std::span<const SolutionCurve>> children,
                  std::vector<SolutionCurve>& routed) {
   const std::size_t w = seq.size();
@@ -167,11 +199,7 @@ void layer_ptree(Workspace& ws, const std::vector<Terminal>& seq,
   const PruneConfig& prune = ws.cfg.inner_prune;
   LayerTable& table = ws.layer_scratch;
   table.prepare(w, k);
-  ++ws.layer_calls;
-  // One DP step per layer call, weighted by its (terminals x candidates)
-  // state count — the dominant cost unit of the whole construction.
-  guard_step(ws.cfg.guard, w * k);
-  guard_point(ws.cfg.guard, FaultSite::kBubbleLayer);
+  guard_deadline(ws.cfg.guard);
 
   // Base cases.
   for (std::size_t t = 0; t < w; ++t) {
@@ -282,7 +310,7 @@ void apply_root_options(Workspace& ws, const std::vector<SolutionCurve>& routed,
 // Builds the layer terminal sequence for parent `Omega` using the inner
 // groups `omegas` (sorted left-to-right, spans pairwise disjoint), or
 // returns false when any pairing is incompatible (Figure 12 / line 15).
-bool build_sequence(const Workspace& ws, const GroupSpan& Omega,
+bool build_sequence(const Order& order, const GroupSpan& Omega,
                     std::span<const GroupSpan> omegas,
                     std::vector<Terminal>& seq) {
   for (const GroupSpan& omega : omegas)
@@ -297,10 +325,10 @@ bool build_sequence(const Workspace& ws, const GroupSpan& Omega,
     // again (every sink may move at most once inside N(Pi)).
     const GroupSpan& omega = omegas[slot];
     if (const auto lh = omega.left_hole(); lh && Omega.contains_position(*lh))
-      seq.push_back(Terminal{false, 0, ws.order[*lh], kNoPos});
+      seq.push_back(Terminal{false, 0, order[*lh], kNoPos});
     seq.push_back(Terminal{true, static_cast<std::uint8_t>(slot), 0, kNoPos});
     if (const auto rh = omega.right_hole(); rh && Omega.contains_position(*rh))
-      seq.push_back(Terminal{false, 0, ws.order[*rh], kNoPos});
+      seq.push_back(Terminal{false, 0, order[*rh], kNoPos});
     emitted[slot] = true;
   };
   for (std::size_t pos : Omega.member_positions()) {
@@ -312,7 +340,7 @@ bool build_sequence(const Workspace& ws, const GroupSpan& Omega,
     if (inside < omegas.size()) {
       if (!emitted[inside]) emit_child_block(inside);
     } else {
-      seq.push_back(Terminal{false, 0, ws.order[pos], pos});
+      seq.push_back(Terminal{false, 0, order[pos], pos});
     }
   }
   // A child's span always contains at least one Omega member, so every
@@ -328,13 +356,13 @@ bool build_sequence(const Workspace& ws, const GroupSpan& Omega,
 // non-overlapping swaps of sequence-adjacent sink terminals whose order
 // positions differ by exactly one (so each swap is a legal neighborhood move
 // and displaced/bubbled sinks never move twice).  |variants| <= F(alpha),
-// a small constant.
+// a small constant.  `visit` sees each variant in a fixed order.
+template <typename Visit>
 void enumerate_layer_sequences(const std::vector<Terminal>& base,
-                               std::size_t from,
-                               std::vector<Terminal>& cur,
-                               std::vector<std::vector<Terminal>>& out) {
+                               std::size_t from, std::vector<Terminal>& cur,
+                               Visit& visit) {
   if (from + 1 >= base.size()) {
-    out.push_back(cur);
+    visit(cur);
     return;
   }
   const Terminal& a = base[from];
@@ -343,12 +371,87 @@ void enumerate_layer_sequences(const std::vector<Terminal>& base,
       !a.is_child && !b.is_child && a.pos != kNoPos && b.pos != kNoPos &&
       (a.pos + 1 == b.pos || b.pos + 1 == a.pos);
   // No swap at `from`.
-  enumerate_layer_sequences(base, from + 1, cur, out);
+  enumerate_layer_sequences(base, from + 1, cur, visit);
   if (swappable) {
     std::swap(cur[from], cur[from + 1]);
-    enumerate_layer_sequences(base, from + 2, cur, out);
+    enumerate_layer_sequences(base, from + 2, cur, visit);
     std::swap(cur[from], cur[from + 1]);
   }
+}
+
+// One *PTREE layer call a group makes: its terminal sequence, a slice of
+// GroupJob::terms, and the child curve rows it consumes.
+struct LayerCall {
+  std::uint32_t begin = 0, end = 0;
+  std::uint8_t n_children = 0;
+  std::array<std::span<const SolutionCurve>, 2> children{};
+};
+
+// One cache-missing group (L, E, R) of the current DP layer.  The serial
+// plan fills the call list, a lane computes `out` into its overlay arena,
+// and the serial commit imports `out`'s provenance into the run arena.
+struct GroupJob {
+  Chi E = Chi::kChi0;
+  std::size_t R = 0;
+  CacheKey key{};
+  std::vector<Terminal> terms;
+  std::vector<LayerCall> calls;
+  std::vector<SolutionCurve> out;  ///< X(L,E,R,.), or A(n,...) at the top
+  std::size_t lane = 0;            ///< lane whose overlay holds out's nodes
+  SolNodeId first = 0, last = 0;   ///< overlay ids this group allocated
+};
+
+// Appends one planned layer call to `job` and charges it exactly where the
+// call itself used to: one DP step per call, weighted by its (terminals x
+// candidates) state count — the dominant cost unit of the construction —
+// then the layer fault site.  Charging in the serial plan keeps budget
+// trips and injected faults at the same point at every thread count.
+void plan_call(GroupJob& job, std::span<const Terminal> seq,
+               std::span<const std::span<const SolutionCurve>> children,
+               std::size_t k, NetGuard* guard, std::size_t& layer_calls) {
+  guard_step(guard, seq.size() * k);
+  guard_point(guard, FaultSite::kBubbleLayer);
+  ++layer_calls;
+  LayerCall c;
+  c.begin = static_cast<std::uint32_t>(job.terms.size());
+  job.terms.insert(job.terms.end(), seq.begin(), seq.end());
+  c.end = static_cast<std::uint32_t>(job.terms.size());
+  c.n_children = static_cast<std::uint8_t>(children.size());
+  std::copy(children.begin(), children.end(), c.children.begin());
+  job.calls.push_back(c);
+}
+
+// The compute phase of one group, on one lane: every planned *PTREE layer
+// call with its root options into the anchor accumulation A(L,E,R,.), the
+// group prune (Figure 9 lines 19-20), then — below the top layer — the
+// child-curve conversion X.  Reads only the run's frozen Gamma rows and
+// writes only the lane and the job.
+void compute_group(Lane& lane, std::size_t lane_index, GroupJob& job,
+                   std::size_t L, bool top) {
+  Workspace& ws = lane.ws;
+  const BubbleConfig& cfg = lane.cfg;
+  job.lane = lane_index;
+  job.first = ws.arena.end_id();
+  std::vector<SolutionCurve> acc(ws.k);
+  for (const LayerCall& c : job.calls) {
+    layer_ptree(ws,
+                std::span<const Terminal>(job.terms).subspan(c.begin, c.end - c.begin),
+                std::span(c.children.data(), c.n_children), ws.routed_scratch);
+    apply_root_options(ws, ws.routed_scratch,
+                       cfg.allow_unbuffered_groups || top, acc);
+  }
+  if (kObsEnabled && cfg.obs != nullptr) {
+    std::uint64_t entering = 0;
+    for (std::size_t p = 0; p < ws.k; ++p) entering += acc[p].size();
+    for (std::size_t p = 0; p < ws.k; ++p) acc[p].prune(cfg.group_prune);
+    std::uint64_t kept = 0;
+    for (std::size_t p = 0; p < ws.k; ++p) kept += acc[p].size();
+    obs_layer(cfg.obs, L, entering, entering - kept, kept);
+  } else {
+    for (std::size_t p = 0; p < ws.k; ++p) acc[p].prune(cfg.group_prune);
+  }
+  job.out = top ? std::move(acc) : anchors_to_child(ws, acc);
+  job.last = ws.arena.end_id();
 }
 
 }  // namespace
@@ -367,8 +470,7 @@ BubbleResult bubble_construct(const Net& net, const BufferLibrary& lib,
     if (cfg.inner_prune.ref_res == 0.0) cfg.inner_prune.ref_res = mid;
     if (cfg.group_prune.ref_res == 0.0) cfg.group_prune.ref_res = mid;
   }
-  if (cfg.inner_prune.obs == nullptr) cfg.inner_prune.obs = cfg.obs;
-  if (cfg.group_prune.obs == nullptr) cfg.group_prune.obs = cfg.obs;
+  cfg.inner_prune.obs = cfg.group_prune.obs = cfg.obs;
   obs_add(cfg.obs, Counter::kBubbleRuns);
   TraceSpan trace_span(cfg.obs, SpanName::kBubbleConstruct, net.fanout());
   const std::uint64_t arena_alloc_before = arena.stats().nodes_allocated;
@@ -379,14 +481,18 @@ BubbleResult bubble_construct(const Net& net, const BufferLibrary& lib,
   if (lib.empty()) throw std::invalid_argument("bubble_construct: empty library");
   if (cfg.alpha < 2) throw std::invalid_argument("bubble_construct: alpha must be >= 2");
 
-  const std::vector<Point> terms = net.terminals();
-  std::vector<Point> pts = candidate_locations(terms, cfg.candidates);
-  Workspace ws(net, lib, cfg, order, arena, std::move(pts));
-  ws.source_p = ws.k;
+  const Candidates cand(candidate_locations(net.terminals(), cfg.candidates),
+                        cfg.extension_neighbors);
+  // The run workspace: the serial length-1 initialization builds straight
+  // into the run arena; layers L >= 2 compute on lanes (see below).
+  Workspace ws(net, lib, cfg, cand, arena);
+  std::size_t source_p = ws.k;
   for (std::size_t p = 0; p < ws.k; ++p)
-    if (ws.pts[p] == net.source) ws.source_p = p;
-  if (ws.source_p == ws.k)
+    if (ws.pts[p] == net.source) source_p = p;
+  if (source_p == ws.k)
     throw std::logic_error("candidate set must contain the source");
+  GammaTable gamma(n, ws.k);
+  std::size_t layer_calls = 0;
 
   // Context signature for cache keys (cache/signature.h): everything a
   // stored group curve depends on besides the group itself — library cells,
@@ -469,25 +575,42 @@ BubbleResult bubble_construct(const Net& net, const BufferLibrary& lib,
       }
       if (n == 1) {
         for (std::size_t p = 0; p < ws.k; ++p)
-          ws.gamma.at(1, e, r, p) = std::move(anchor[p]);
+          gamma.at(1, e, r, p) = std::move(anchor[p]);
       } else {
         auto x = anchors_to_child(ws, anchor);
         for (std::size_t p = 0; p < ws.k; ++p)
-          ws.gamma.at(1, e, r, p) = std::move(x[p]);
+          gamma.at(1, e, r, p) = std::move(x[p]);
       }
     }
   }
 
   // CONSTRUCTION (Figure 9 lines 5-20): groups by increasing sink count.
+  // Every group (L, E, R) of a layer reads only the Gamma rows of layers
+  // below L, so each layer runs as a deterministic fork-join:
+  //   1. plan, serially in group order: cache lookups (hits materialize
+  //      into the run arena), the *PTREE call list, and every guard charge
+  //      and fault site;
+  //   2. compute, in parallel: each cache-missing group on one lane, into
+  //      the lane's overlay arena, while the run arena stays frozen;
+  //   3. commit, serially in group order: import each group's surviving
+  //      provenance into the run arena, then write Gamma and the cache.
+  // Without a pool the same three phases run inline on one lane.  Nothing a
+  // later phase or layer sees depends on which lane ran which group.
   std::vector<Terminal> seq;
+  std::vector<GroupJob> jobs;
+  std::vector<std::unique_ptr<Lane>> lanes;
+  std::vector<SolNodeId> roots;
+  std::uint64_t peak_live = 0;  // run arena + the layer's overlay nodes
   for (std::size_t L = 2; L <= n; ++L) {
     TraceSpan layer_span(cfg.obs, SpanName::kBubbleLayer, L);
+    const bool top = L == n;
+    std::size_t n_jobs = 0;
     for (Chi E : chis(L)) {
       for (std::size_t R = 0; R < n; ++R) {
         const GroupSpan Omega{L, E, R};
         if (!Omega.valid(n)) continue;
         // The whole-net group must cover every sink from a chi_0 span.
-        if (L == n && (E != Chi::kChi0 || R != n - 1)) continue;
+        if (top && (E != Chi::kChi0 || R != n - 1)) continue;
 
         // Group-state boundary: check the arena soft cap here (the live-node
         // count at this point is a pure function of net + config, so the cap
@@ -502,9 +625,11 @@ BubbleResult bubble_construct(const Net& net, const BufferLibrary& lib,
         // neighborhoods, other nets with matching structure, and published
         // entries from a shared SubproblemCache can copy instead of
         // recompute.  Hits materialize the arena-independent entry into
-        // this run's arena (cache/store.h).
+        // this run's arena (cache/store.h).  No two groups of one layer
+        // share a key, so looking every group up before any of the layer's
+        // inserts finds exactly what the group-by-group order found.
         CacheKey cache_key{};
-        if (cache != nullptr && L < n) {
+        if (cache != nullptr && !top) {
           SigHasher h(ctx);
           h.mix(static_cast<std::uint64_t>(E));
           h.mix(L);
@@ -522,15 +647,26 @@ BubbleResult bubble_construct(const Net& net, const BufferLibrary& lib,
           if (const CacheEntry* hit = cache->find(cache_key, &shared_hit)) {
             obs_add(cfg.obs, Counter::kGammaCacheHits);
             if (shared_hit) obs_add(cfg.obs, Counter::kCacheSharedHits);
-            std::vector<SolutionCurve> mat = materialize_entry(*hit, ws.arena);
+            std::vector<SolutionCurve> mat = materialize_entry(*hit, arena);
             for (std::size_t p = 0; p < ws.k; ++p)
-              ws.gamma.at(L, E, R, p) = std::move(mat[p]);
+              gamma.at(L, E, R, p) = std::move(mat[p]);
             continue;
           }
           obs_add(cfg.obs, Counter::kGammaCacheMisses);
         }
 
-        std::vector<SolutionCurve> acc(ws.k);  // anchor accumulation A(L,E,R,.)
+        if (n_jobs == jobs.size()) jobs.emplace_back();
+        GroupJob& job = jobs[n_jobs++];
+        job.E = E;
+        job.R = R;
+        job.key = cache_key;
+        job.terms.clear();
+        job.calls.clear();
+        const auto plan = [&](const std::vector<Terminal>& var,
+                              std::span<const std::span<const SolutionCurve>> children) {
+          plan_call(job, var, children, ws.k, cfg.guard, layer_calls);
+        };
+
         const std::size_t l_min = (L - 1 >= cfg.alpha) ? L - cfg.alpha + 1 : 1;
         for (std::size_t l = l_min; l <= L - 1; ++l) {
           for (Chi e : chis(l)) {
@@ -541,10 +677,10 @@ BubbleResult bubble_construct(const Net& net, const BufferLibrary& lib,
               const GroupSpan omega{l, e, r};
               if (!omega.valid(n)) continue;
               const GroupSpan omegas[1] = {omega};
-              if (!build_sequence(ws, Omega, omegas, seq)) continue;
+              if (!build_sequence(order, Omega, omegas, seq)) continue;
               // Child curves X(l,e,r,.) are consumed in place in gamma.
               const std::span<const SolutionCurve> children[1] = {
-                  ws.gamma.row(l, e, r)};
+                  gamma.row(l, e, r)};
               bool any = false;
               for (const SolutionCurve& c : children[0])
                 if (!c.empty()) {
@@ -552,17 +688,14 @@ BubbleResult bubble_construct(const Net& net, const BufferLibrary& lib,
                   break;
                 }
               if (!any) continue;
-              std::vector<std::vector<Terminal>> variants;
+              const auto visit = [&](const std::vector<Terminal>& var) {
+                plan(var, children);
+              };
               if (cfg.enable_bubbling) {
                 std::vector<Terminal> cur = seq;
-                enumerate_layer_sequences(seq, 0, cur, variants);
+                enumerate_layer_sequences(seq, 0, cur, visit);
               } else {
-                variants.push_back(seq);
-              }
-              for (const auto& var : variants) {
-                layer_ptree(ws, var, children, ws.routed_scratch);
-                apply_root_options(ws, ws.routed_scratch,
-                                   cfg.allow_unbuffered_groups || L == n, acc);
+                visit(seq);
               }
             }
           }
@@ -586,19 +719,16 @@ BubbleResult bubble_construct(const Net& net, const BufferLibrary& lib,
                       const GroupSpan o2{l2, e2, r2};
                       if (!o2.valid(n) || o2.left() <= r1) continue;
                       const GroupSpan omegas[2] = {o1, o2};
-                      if (!build_sequence(ws, Omega, omegas, seq)) continue;
+                      if (!build_sequence(order, Omega, omegas, seq)) continue;
                       const std::span<const SolutionCurve> children[2] = {
-                          ws.gamma.row(l1, e1, r1), ws.gamma.row(l2, e2, r2)};
+                          gamma.row(l1, e1, r1), gamma.row(l2, e2, r2)};
                       bool any1 = false, any2 = false;
                       for (std::size_t p = 0; p < ws.k; ++p) {
                         any1 = any1 || !children[0][p].empty();
                         any2 = any2 || !children[1][p].empty();
                       }
                       if (!any1 || !any2) continue;
-                      layer_ptree(ws, seq, children, ws.routed_scratch);
-                      apply_root_options(ws, ws.routed_scratch,
-                                         cfg.allow_unbuffered_groups || L == n,
-                                         acc);
+                      plan(seq, children);
                     }
                   }
                 }
@@ -606,38 +736,58 @@ BubbleResult bubble_construct(const Net& net, const BufferLibrary& lib,
             }
           }
         }
-
-        if (kObsEnabled && cfg.obs != nullptr) {
-          std::uint64_t entering = 0;
-          for (std::size_t p = 0; p < ws.k; ++p) entering += acc[p].size();
-          for (std::size_t p = 0; p < ws.k; ++p) acc[p].prune(cfg.group_prune);
-          std::uint64_t kept = 0;
-          for (std::size_t p = 0; p < ws.k; ++p) kept += acc[p].size();
-          obs_layer(cfg.obs, L, entering, entering - kept, kept);
-        } else {
-          for (std::size_t p = 0; p < ws.k; ++p) acc[p].prune(cfg.group_prune);
-        }
-        if (L == n) {
-          for (std::size_t p = 0; p < ws.k; ++p)
-            ws.gamma.at(L, E, R, p) = std::move(acc[p]);
-        } else {
-          auto x = anchors_to_child(ws, acc);
-          if (cache != nullptr) cache->insert(cache_key, x, ws.arena);
-          for (std::size_t p = 0; p < ws.k; ++p)
-            ws.gamma.at(L, E, R, p) = std::move(x[p]);
-        }
       }
+    }
+
+    // Compute: the run arena is frozen from here to the commit, so every
+    // lane's overlay numbers its nodes from the run arena's end.
+    const std::size_t n_lanes = n_jobs == 0 ? 0 : fork_lanes(cfg.pool, n_jobs);
+    while (lanes.size() < n_lanes)
+      lanes.push_back(std::make_unique<Lane>(net, lib, cfg, cand,
+                                             arena.overlay(lanes.size())));
+    for (const auto& lane : lanes) lane->ws.arena.reset(arena.end_id());
+    parallel_for(cfg.pool, n_jobs, [&](std::size_t i, std::size_t lane) {
+      compute_group(*lanes[lane], lane, jobs[i], L, top);
+    });
+    // Lane sinks hold only counters, gauges and layer rows, which commute:
+    // the fold is the same whichever lane ran which group.
+    std::uint64_t layer_nodes = 0;
+    for (const auto& lane : lanes) {
+      layer_nodes += lane->ws.arena.size();
+      if (kObsEnabled && cfg.obs != nullptr) {
+        cfg.obs->merge_from(lane->sink);
+        lane->sink.clear();
+      }
+    }
+    // The layer's live-node high-water mark — run arena plus every group's
+    // overlay nodes, a pure function of net + config — against the soft cap.
+    const std::uint64_t live = arena.size() + layer_nodes;
+    peak_live = std::max(peak_live, live);
+    guard_arena(cfg.guard, static_cast<std::uint32_t>(
+                               std::min<std::uint64_t>(live, kNullSol)));
+
+    // Commit, in group order.
+    for (std::size_t i = 0; i < n_jobs; ++i) {
+      GroupJob& job = jobs[i];
+      roots.clear();
+      for (const SolutionCurve& c : job.out) c.collect_roots(roots);
+      const std::vector<SolNodeId> remap =
+          arena.import(lanes[job.lane]->ws.arena, job.first, job.last, roots);
+      for (SolutionCurve& c : job.out) c.remap_nodes(remap, job.first);
+      if (cache != nullptr && !top) cache->insert(job.key, job.out, arena);
+      for (std::size_t p = 0; p < ws.k; ++p)
+        gamma.at(L, job.E, job.R, p) = std::move(job.out[p]);
     }
   }
 
   // EXTRACTION (Figure 9 lines 21-23).
   BubbleResult res;
-  res.layer_calls = ws.layer_calls;
-  const SolutionCurve& final_curve = ws.gamma.at(n, Chi::kChi0, n - 1, ws.source_p);
+  res.layer_calls = layer_calls;
+  const SolutionCurve& final_curve = gamma.at(n, Chi::kChi0, n - 1, source_p);
   if (final_curve.empty())
     throw std::logic_error("bubble_construct: empty final curve");
   res.root_curve = final_curve;
-  res.solutions_stored = ws.gamma.total_solutions();
+  res.solutions_stored = gamma.total_solutions();
 
   auto driver_q = [&](const Solution& s) {
     return s.req_time - net.driver.delay.at_nominal(s.load);
@@ -672,8 +822,9 @@ BubbleResult bubble_construct(const Net& net, const BufferLibrary& lib,
   obs_add(cfg.obs, Counter::kArenaNodesAllocated,
           arena.stats().nodes_allocated - arena_alloc_before);
   obs_gauge(cfg.obs, Gauge::kGammaPeakSolutions, res.solutions_stored);
-  obs_gauge(cfg.obs, Gauge::kArenaPeakLiveNodes, arena.stats().peak_nodes);
-  obs_gauge(cfg.obs, Gauge::kArenaPeakBytes, arena.stats().peak_bytes);
+  peak_live = std::max<std::uint64_t>(peak_live, arena.stats().peak_nodes);
+  obs_gauge(cfg.obs, Gauge::kArenaPeakLiveNodes, peak_live);
+  obs_gauge(cfg.obs, Gauge::kArenaPeakBytes, peak_live * sizeof(SolNode));
   if (cache != nullptr)
     obs_gauge(cfg.obs, Gauge::kCachePeakEntries, cache->size());
   return res;

@@ -37,6 +37,7 @@ namespace merlin {
 
 class NetGuard;      // runtime/guard.h
 class CacheSession;  // cache/shard.h
+class ThreadPool;    // runtime/pool.h
 
 /// Which variant of the problem to solve (paper section III.1).
 enum class ObjectiveMode {
@@ -103,14 +104,23 @@ struct BubbleConfig {
 
   /// Optional observability sink (one per engine run / worker; never shared
   /// across threads).  Propagated into `inner_prune.obs` / `group_prune.obs`
-  /// when those are unset.
+  /// (a sink set there is replaced: the parallel groups of a layer record
+  /// into per-lane sinks that are folded into this one).
   ObsSink* obs = nullptr;
 
   /// Optional per-net execution guard (runtime/guard.h): charged per *P_Tree
   /// layer call (weighted by group width) and per (l, e, r) group state, with
   /// the arena live-node count checked at group boundaries.  Budget trips
   /// raise BudgetExceeded out of bubble_construct.  Null = unguarded.
+  /// All charges are made by the serial plan of each layer, so a trip lands
+  /// at the same step at every thread count.
   NetGuard* guard = nullptr;
+
+  /// Optional thread pool for the groups of one DP layer (runtime/pool.h
+  /// parallel_for; the calling thread always takes part, so it may be a
+  /// worker of this same pool).  Null = every group runs on the caller.
+  /// Results, counters and guard trips do not depend on it.
+  ThreadPool* pool = nullptr;
 };
 
 /// Outcome of one BUBBLE_CONSTRUCT run.
@@ -136,7 +146,9 @@ struct BubbleResult {
 /// materialize arena-independent entries into the run arena, so the cache
 /// never constrains arena lifetime: `cache` works with or without `arena`.
 ///
-/// `arena` receives all provenance allocated by the run.  When nullptr a
+/// `arena` receives all provenance of the run: the groups of each DP layer
+/// build in its overlays (SolutionArena::overlay, one per compute lane) and
+/// their survivors are imported when the layer commits.  When nullptr a
 /// private arena backs the run and the result's curve handles dangle after
 /// return (tree/out_order/metrics stay valid).
 /// Preconditions: net has >= 1 sink, order is a permutation, alpha >= 2.

@@ -23,7 +23,11 @@
 //     entries and clones them back in via make_node() on a hit, so arenas
 //     and caches have fully independent lifetimes;
 //   * arenas are single-threaded; the batch engine gives each pool worker
-//     its own arena next to its CacheSession.
+//     its own arena next to its CacheSession;
+//   * an arena restarted at a first id above 0 is an *overlay* of the arena
+//     whose ids lie below it: BUBBLE_CONSTRUCT's parallel groups each
+//     allocate into a lane overlay while the run arena stays frozen, and
+//     the run arena import()s the survivors when the layer commits.
 
 #include <cstddef>
 #include <cstdint>
@@ -84,22 +88,60 @@ class SolutionArena {
   // -- access ----------------------------------------------------------------
 
   [[nodiscard]] const SolNode& operator[](SolNodeId id) const {
-    return slabs_[id >> kSlabShift][id & kSlabMask];
+    const SolNodeId local = id - first_;
+    return slabs_[local >> kSlabShift][local & kSlabMask];
   }
   /// Bounds-checked access; throws std::invalid_argument on kNullSol or an
   /// id this arena never handed out (the replay/extraction entry points use
   /// it so a stale handle fails loudly instead of reading freed memory).
   [[nodiscard]] const SolNode& at(SolNodeId id) const;
 
+  /// Nodes held (ids first_id() .. end_id() - 1).
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] bool contains(SolNodeId id) const { return id < size_; }
+  [[nodiscard]] bool contains(SolNodeId id) const {
+    return id >= first_ && id - first_ < size_;
+  }
+  /// First id this arena hands out (0 unless it is an overlay).
+  [[nodiscard]] SolNodeId first_id() const { return first_; }
+  /// The id the next allocation receives.
+  [[nodiscard]] SolNodeId end_id() const {
+    return static_cast<SolNodeId>(first_ + size_);
+  }
 
   // -- wholesale reclamation -------------------------------------------------
 
   /// Drops every node but keeps slab capacity for reuse (the per-worker
-  /// arenas of the batch engine call this between nets).
-  void reset();
+  /// arenas of the batch engine call this between nets).  A `first_id`
+  /// above 0 turns the arena into an overlay of a base arena holding ids
+  /// [0, first_id): it hands out ids from `first_id` on, and its nodes may
+  /// link to base nodes, which it never reads.
+  void reset(SolNodeId first_id = 0);
+
+  /// Copies into this (base) arena every node of `overlay` in the id range
+  /// [from, to) that is reachable from `roots`, and returns the remap
+  /// table: remap[id - from] is the node's new id here, or kNullSol for an
+  /// unreachable id.  Roots outside the range are ignored, and links below
+  /// overlay.first_id() are this arena's own nodes and pass through
+  /// unchanged.  This arena may have grown past overlay.first_id() since
+  /// the overlay was reset (earlier imports), so only the caller knows
+  /// which of its handles are overlay handles; it remaps exactly those
+  /// (SolutionCurve::remap_nodes(remap, from)).  Like mark_compact, the
+  /// copy runs in ascending id order, so children land before parents and
+  /// shared sub-DAGs stay shared (the paper's Lemma 7).  The range's nodes
+  /// count as allocations of this arena, the copies do not: the overlay is
+  /// this arena's staging area, and nodes_allocated stays the number of
+  /// nodes the DP created, whichever arena held them first.
+  std::vector<SolNodeId> import(const SolutionArena& overlay, SolNodeId from,
+                                SolNodeId to, std::span<const SolNodeId> roots);
+
+  /// This arena's overlay number `lane`, created on first use and kept —
+  /// with its slab capacity — for the arena's lifetime (reset() leaves
+  /// overlays alone; their user resets them).  BUBBLE_CONSTRUCT hands one
+  /// to each compute lane, so a worker's scratch arena keeps its lanes'
+  /// memory warm from net to net like its own.  The returned reference is
+  /// stable; creating overlays is not thread-safe, using distinct ones is.
+  SolutionArena& overlay(std::size_t lane);
 
   /// Mark-compact garbage collection.  Marks everything reachable from
   /// `roots` (kNullSol entries are permitted and skipped), slides the
@@ -133,10 +175,13 @@ class SolutionArena {
  private:
   SolNodeId emplace(SolNode n);
   [[nodiscard]] SolNode& slot(SolNodeId id) {
-    return slabs_[id >> kSlabShift][id & kSlabMask];
+    const SolNodeId local = id - first_;
+    return slabs_[local >> kSlabShift][local & kSlabMask];
   }
 
   std::vector<std::unique_ptr<SolNode[]>> slabs_;
+  std::vector<std::unique_ptr<SolutionArena>> overlays_;  // see overlay()
+  SolNodeId first_ = 0;        // id of the first node (overlays: above 0)
   std::size_t size_ = 0;       // nodes currently live (bump pointer)
   Stats stats_;                // live_nodes/reserved_bytes filled by stats()
   bool fault_armed_ = false;   // injected allocation failure (set_alloc_fault)

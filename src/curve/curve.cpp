@@ -209,9 +209,10 @@ void SolutionCurve::collect_roots(std::vector<SolNodeId>& out) const {
     if (s.node != kNullSol) out.push_back(s.node);
 }
 
-void SolutionCurve::remap_nodes(std::span<const SolNodeId> remap) {
+void SolutionCurve::remap_nodes(std::span<const SolNodeId> remap,
+                                SolNodeId first) {
   for (Solution& s : sols_)
-    if (s.node != kNullSol) s.node = remap[s.node];
+    if (s.node != kNullSol && s.node >= first) s.node = remap[s.node - first];
 }
 
 const Solution* SolutionCurve::best_req_time() const {

@@ -65,9 +65,11 @@ class SolutionCurve {
   /// contribution to a SolutionArena::mark_compact root set.
   void collect_roots(std::vector<SolNodeId>& out) const;
 
-  /// Rewrites every provenance handle through the remap table returned by
-  /// SolutionArena::mark_compact.
-  void remap_nodes(std::span<const SolNodeId> remap);
+  /// Rewrites every provenance handle h >= first to remap[h - first] — the
+  /// table SolutionArena::mark_compact (first = 0) or SolutionArena::import
+  /// (first = the imported range's start) returned.  Handles below `first`
+  /// are kept.
+  void remap_nodes(std::span<const SolNodeId> remap, SolNodeId first = 0);
 
   /// The solution with the largest required time, or nullptr if empty.
   [[nodiscard]] const Solution* best_req_time() const;

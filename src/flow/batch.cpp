@@ -347,6 +347,7 @@ BatchResult BatchRunner::run_jobs(const std::vector<CircuitNet>& jobs,
           cfg.scratch_arena = &arena;
           cfg.obs = sink;
           cfg.guard = g;
+          cfg.pool = &pool;
           switch (flow) {
             case FlowKind::kFlow1: slot.result = run_flow1(job.net, lib_, cfg); break;
             case FlowKind::kFlow2: slot.result = run_flow2(job.net, lib_, cfg); break;

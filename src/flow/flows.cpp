@@ -218,6 +218,7 @@ FlowResult run_flow3(const Net& net, const BufferLibrary& lib,
   if (mcfg.scratch_arena == nullptr) mcfg.scratch_arena = cfg.scratch_arena;
   if (mcfg.bubble.obs == nullptr) mcfg.bubble.obs = cfg.obs;
   if (mcfg.bubble.guard == nullptr) mcfg.bubble.guard = cfg.guard;
+  if (mcfg.bubble.pool == nullptr) mcfg.bubble.pool = cfg.pool;
   MerlinResult mr = [&] {
     TraceSpan span(cfg.obs, SpanName::kFlowSearch);
     return merlin_optimize(net, lib, tsp_order(net), mcfg);
@@ -289,7 +290,7 @@ FlowConfig scaled_flow_config(std::size_t n) {
 }
 
 FlowConfig tightened_flow_config(const FlowConfig& in) {
-  FlowConfig cfg = in;  // pointer fields (arena/obs/guard) carried over
+  FlowConfig cfg = in;  // pointer fields (arena/obs/guard/pool) carried over
   const auto halve = [](std::size_t v) { return std::max<std::size_t>(1, v / 2); };
   if (cfg.candidates.max_candidates != 0)
     cfg.candidates.max_candidates =

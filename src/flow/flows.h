@@ -53,6 +53,11 @@ struct FlowConfig {
   /// construction attempt; budget trips raise BudgetExceeded out of the
   /// run_flow* call.  Null = unguarded.
   NetGuard* guard = nullptr;
+  /// Optional thread pool for flow III's intra-net parallelism (propagated
+  /// into MerlinConfig::bubble.pool unless that is set).  The batch engine
+  /// passes its own pool: a net task forks its DP layers' groups onto the
+  /// workers other nets leave idle.  Results do not depend on it.
+  ThreadPool* pool = nullptr;
 };
 
 /// One flow's outcome on one net.
@@ -86,7 +91,7 @@ FlowConfig scaled_flow_config(std::size_t n_sinks);
 /// MERLIN iteration count are all tightened, so a net that blew its budget
 /// under `cfg` gets a realistic second chance inside the same budget.
 /// Deterministic (pure function of `cfg`), and pointer fields (arena, obs,
-/// guard) are preserved.
+/// guard, pool) are preserved.
 FlowConfig tightened_flow_config(const FlowConfig& cfg);
 
 /// Integer centroid of a point multiset (flow I places each group's buffer

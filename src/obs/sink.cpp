@@ -1,10 +1,13 @@
 #include "obs/sink.h"
 
+#include <algorithm>
+
 namespace merlin {
 
 void ObsSink::merge_from(const ObsSink& o) {
   counters.merge(o.counters);
   gauges.merge(o.gauges);
+  net_peak_curve_width_ = std::max(net_peak_curve_width_, o.net_peak_curve_width_);
   for (std::size_t i = 0; i < kSpanNameCount; ++i) {
     span_totals_[i].count += o.span_totals_[i].count;
     span_totals_[i].total_ns += o.span_totals_[i].total_ns;

@@ -161,9 +161,11 @@ class ObsSink {
   }
 
   // -- lifecycle ------------------------------------------------------------
-  /// Fold another sink into this one: counters sum, gauges max, span
-  /// totals sum, layers add elementwise, traces and span records append
-  /// (capacity-capped; appended records are not charged again).
+  /// Fold another sink into this one: counters sum, gauges max (the
+  /// net-window peak width too), span totals sum, layers add elementwise,
+  /// traces and span records append (capacity-capped; appended records are
+  /// not charged again).  BUBBLE_CONSTRUCT folds its lane sinks in this way
+  /// mid-net, which is why the net window takes part.
   /// Serial use only — the caller sequences merges (BatchRunner merges
   /// worker sinks in worker order after wait_idle()).
   ///

@@ -138,6 +138,15 @@ class NetGuard {
       throw DeadlineExceeded(net_id_, cfg_.deadline_ms);
   }
 
+  /// Trips DeadlineExceeded once the armed deadline has passed.  Reads
+  /// only state fixed at construction, so it is safe to call concurrently
+  /// from the parallel groups of one DP layer, whose step charges were all
+  /// made up front by the serial plan.
+  void poll_deadline() const {
+    if (deadline_at_ && std::chrono::steady_clock::now() > *deadline_at_)
+      throw DeadlineExceeded(net_id_, cfg_.deadline_ms);
+  }
+
   /// Trips BudgetExceeded when the attempt's arena live-node count passes
   /// the soft cap.  Engines call it alongside step() where they allocate.
   void arena_check(std::uint32_t live_nodes) {
@@ -192,6 +201,9 @@ inline void guard_arena(NetGuard* g, std::uint32_t live_nodes) {
 }
 inline void guard_point(NetGuard* g, FaultSite site) {
   if (g) g->fault_point(site);
+}
+inline void guard_deadline(const NetGuard* g) {
+  if (g) g->poll_deadline();
 }
 
 }  // namespace merlin

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -129,6 +131,79 @@ bool ThreadPool::pop_task(std::size_t wi, std::packaged_task<void()>& out,
   ++executed_[wi];
   stolen = true;
   return true;
+}
+
+std::size_t fork_lanes(const ThreadPool* pool, std::size_t n) {
+  return pool == nullptr ? 1 : std::max<std::size_t>(1, std::min(n, pool->size()));
+}
+
+namespace {
+
+// One parallel_for call's claim/finish ledger.  Co-owned by the caller and
+// every helper task, so a helper that is dequeued after the call returned
+// still finds it alive; `body` is only dereferenced under a successful
+// claim, which cannot happen once the caller has stopped waiting.
+struct ForState {
+  std::mutex mu;
+  std::condition_variable cv_done;
+  const ForBody* body = nullptr;
+  std::size_t n = 0;
+  std::size_t next = 0;     ///< next unclaimed index
+  std::size_t running = 0;  ///< claimed, not yet finished
+  std::size_t error_index = static_cast<std::size_t>(-1);
+  std::exception_ptr error;  ///< of the lowest throwing index
+
+  // Claims the next index, or returns false once the range is exhausted or
+  // an index has failed (both are permanent, so claiming closes for good).
+  bool claim(std::size_t& i) {
+    std::lock_guard<std::mutex> lk(mu);
+    if (next >= n || error) return false;
+    i = next++;
+    ++running;
+    return true;
+  }
+
+  void work(std::size_t lane) {
+    std::size_t i = 0;
+    while (claim(i)) {
+      std::exception_ptr ep;
+      try {
+        (*body)(i, lane);
+      } catch (...) {
+        ep = std::current_exception();
+      }
+      std::lock_guard<std::mutex> lk(mu);
+      if (ep && i < error_index) {
+        error_index = i;
+        error = ep;
+      }
+      if (--running == 0) cv_done.notify_all();
+    }
+  }
+};
+
+}  // namespace
+
+void parallel_for(ThreadPool* pool, std::size_t n, const ForBody& body) {
+  const std::size_t lanes = fork_lanes(pool, n);
+  if (lanes == 1) {  // the serial loop the contract is written against
+    for (std::size_t i = 0; i < n; ++i) body(i, 0);
+    return;
+  }
+  const auto state = std::make_shared<ForState>();
+  state->body = &body;
+  state->n = n;
+  for (std::size_t lane = 1; lane < lanes; ++lane) {
+    try {
+      (void)pool->submit([state, lane] { state->work(lane); });
+    } catch (const std::runtime_error&) {
+      break;  // pool shutting down: the caller covers the range alone
+    }
+  }
+  state->work(0);
+  std::unique_lock<std::mutex> lk(state->mu);
+  state->cv_done.wait(lk, [&] { return state->running == 0; });
+  if (state->error) std::rethrow_exception(state->error);
 }
 
 void ThreadPool::worker_loop(std::size_t wi) {

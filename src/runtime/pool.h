@@ -15,6 +15,11 @@
 // from `future::get()` on the caller's thread.  Destruction drains: every
 // task already submitted runs to completion before the workers join, so
 // dropping a pool with queued work loses nothing.
+//
+// `parallel_for` is the fine-grained fork-join on top (BUBBLE_CONSTRUCT's
+// groups of one DP layer): the caller works through the index range itself
+// and queues helper tasks that join in when a worker is free, so it cannot
+// deadlock even when every worker is busy — or is the caller.
 
 #include <condition_variable>
 #include <cstddef>
@@ -111,5 +116,33 @@ class ThreadPool {
   PoolObserver observer_;  ///< immutable once tasks are in flight
   bool stop_ = false;
 };
+
+/// Body of a parallel_for: `index` in [0, n), `lane` in [0, fork_lanes):
+/// one participant owns a lane at a time, so per-lane scratch needs no lock.
+using ForBody = std::function<void(std::size_t index, std::size_t lane)>;
+
+/// Lanes a parallel_for over `n` indices uses on `pool`: min(n, workers),
+/// at least 1; exactly 1 for a null pool.  Callers size per-lane scratch by
+/// it before the call.
+[[nodiscard]] std::size_t fork_lanes(const ThreadPool* pool, std::size_t n);
+
+/// Caller-participating fork-join: runs `body(i, lane)` once for every i in
+/// [0, n) and returns when all have finished.  Indices are claimed in
+/// ascending order by the caller (lane 0) and by up to fork_lanes - 1
+/// helper tasks queued on `pool` (lanes 1..); a null pool or a single lane
+/// runs everything inline, in index order, on the caller.
+///
+///   * The caller never runs a foreign queued task while it waits: it only
+///     works its own range, then blocks until the indices helpers claimed
+///     have finished.  A helper that starts after the range is exhausted —
+///     even after the call returned — claims nothing and touches only
+///     shared state it co-owns, never `body`.
+///   * After an index throws, no further index is claimed; the exception
+///     of the lowest throwing index is rethrown once every claimed index
+///     has finished.  Indices are claimed in order, so every lower index
+///     ran: the rethrown exception is the one a serial loop would raise.
+///   * Helper tasks are ordinary pool tasks: they show in executed_counts()
+///     and steal_count() (scheduling facts), never in any work counter.
+void parallel_for(ThreadPool* pool, std::size_t n, const ForBody& body);
 
 }  // namespace merlin

@@ -442,10 +442,13 @@ JobOutcome ServerCore::run_one(const QueuedJob& job, double queue_ms,
     out.digest = batch_result_digest(r);
     out.wall_ms = ns_to_ms(now_ns() - t0);
 
-    if (kObsEnabled && sink.spans_armed()) {
+    if (kObsEnabled) {
       // The request's own timeline: queue wait (admission → dispatch) and
       // the run itself.  Scheduling spans by nature (net == kNoTraceNet),
       // tagged with the job id so a Perfetto track reads per-request.
+      // Recorded whether or not --trace-spans armed the ring: the totals
+      // feed `runtime.spans` and the lifetime span histograms, and a
+      // disarmed ring ignores the push.
       SpanRecord q;
       q.begin_ns = static_cast<std::uint64_t>(admit_ns);
       q.end_ns = static_cast<std::uint64_t>(t0);

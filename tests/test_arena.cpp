@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <array>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "curve/arena.h"
@@ -183,6 +184,74 @@ TEST(Arena, RepeatedCompactionIsIdempotentOnLiveSet) {
   EXPECT_EQ(arena.size(), live);
   // Already-compact arena: the remap is the identity on the live prefix.
   for (SolNodeId id = 0; id < live; ++id) EXPECT_EQ(remap[id], id);
+}
+
+TEST(Arena, OverlayImportKeepsSharingAndBaseLinks) {
+  // A base arena with two nodes, frozen while an overlay numbered from its
+  // end builds on top of it (the BUBBLE_CONSTRUCT lane pattern).
+  SolutionArena base;
+  const SolNodeId b0 = base.make_sink({0, 0}, 0);
+  const SolNodeId b1 = base.make_sink({5, 0}, 1);
+  SolutionArena overlay;
+  overlay.reset(base.end_id());
+  EXPECT_EQ(overlay.first_id(), 2u);
+  const SolNodeId dead = overlay.make_wire({9, 9}, b0);
+  const SolNodeId w = overlay.make_wire({1, 0}, b0);
+  const SolNodeId shared = overlay.make_buffer({1, 0}, 2, w);
+  const SolNodeId m = overlay.make_merge({1, 0}, shared, b1);
+  const SolNodeId top = overlay.make_wire({2, 0}, shared);
+  EXPECT_EQ(dead, 2u);
+  EXPECT_TRUE(overlay.contains(m));
+  EXPECT_FALSE(overlay.contains(b1));
+  EXPECT_EQ(overlay[m].b, b1);  // links into the base, never copied
+
+  const std::uint64_t allocated = base.stats().nodes_allocated;
+  const std::vector<SolNodeId> roots{m, top, b1, kNullSol};
+  const std::vector<SolNodeId> remap =
+      base.import(overlay, overlay.first_id(), overlay.end_id(), roots);
+  ASSERT_EQ(remap.size(), 5u);
+  EXPECT_EQ(remap[dead - 2], kNullSol);  // unreachable: not imported
+  EXPECT_EQ(base.size(), 6u);            // 2 base + w, shared, m, top
+  // Ascending-id copy: children first, and the shared buffer once.
+  EXPECT_EQ(remap[w - 2], 2u);
+  EXPECT_EQ(remap[shared - 2], 3u);
+  EXPECT_EQ(base[remap[shared - 2]].a, remap[w - 2]);
+  EXPECT_EQ(base[remap[m - 2]].a, remap[shared - 2]);
+  EXPECT_EQ(base[remap[m - 2]].b, b1);
+  EXPECT_EQ(base[remap[top - 2]].a, remap[shared - 2]);
+  EXPECT_EQ(base[remap[w - 2]].a, b0);
+  // The overlay's five creations count once; the four copies do not.
+  EXPECT_EQ(base.stats().nodes_allocated, allocated + 5);
+
+  SolutionCurve c;
+  for (const SolNodeId id : {m, b1}) {
+    Solution sol;
+    sol.node = id;
+    c.push(sol);
+  }
+  c.remap_nodes(remap, overlay.first_id());
+  EXPECT_EQ(c[0].node, remap[m - 2]);
+  EXPECT_EQ(c[1].node, b1);  // below the range: kept
+
+  // A range outside the overlay throws; overlays never compact.
+  EXPECT_THROW((void)base.import(overlay, 0, overlay.end_id(), roots),
+               std::invalid_argument);
+  EXPECT_THROW((void)overlay.mark_compact(roots), std::logic_error);
+}
+
+TEST(Arena, OverlaysAreStableAcrossResetsAndMoves) {
+  SolutionArena arena;
+  SolutionArena& lane1 = arena.overlay(1);
+  SolutionArena& lane0 = arena.overlay(0);
+  EXPECT_NE(&lane0, &lane1);
+  lane1.reset(7);
+  (void)lane1.make_sink({0, 0}, 0);
+  arena.reset();  // the run arena's reset leaves its overlays alone
+  EXPECT_EQ(&arena.overlay(1), &lane1);
+  EXPECT_EQ(lane1.size(), 1u);
+  SolutionArena moved = std::move(arena);
+  EXPECT_EQ(&moved.overlay(1), &lane1);  // moved with their owner
+  EXPECT_EQ(lane1.first_id(), 7u);
 }
 
 TEST(Prune, SurvivorSetIsPushOrderIndependent) {

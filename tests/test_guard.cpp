@@ -85,6 +85,22 @@ TEST(NetGuard, DeadlineTripsAfterItExpires) {
       DeadlineExceeded);
 }
 
+TEST(NetGuard, PollDeadlineChecksTheClockOnEveryCall) {
+  // The parallel groups of a BUBBLE_CONSTRUCT layer charge no steps, so
+  // they poll the deadline directly: no 256-call stride, no counting.
+  GuardConfig cfg;
+  cfg.deadline_ms = 5.0;
+  const NetGuard g(4, cfg);
+  std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  EXPECT_THROW(g.poll_deadline(), DeadlineExceeded);
+  EXPECT_THROW(guard_deadline(&g), DeadlineExceeded);
+  EXPECT_EQ(g.steps(), 0u);
+  cfg.deadline_ms = 60'000.0;
+  EXPECT_NO_THROW(NetGuard(4, cfg).poll_deadline());
+  EXPECT_NO_THROW(NetGuard(4, GuardConfig{}).poll_deadline());
+  EXPECT_NO_THROW(guard_deadline(nullptr));
+}
+
 TEST(NetGuard, GuardErrorsShareOneCatchableBase) {
   GuardConfig cfg;
   cfg.step_budget = 1;

@@ -1,6 +1,7 @@
 // Unit tests of the work-stealing thread pool: completion, exception
-// propagation from workers, stealing under imbalanced loads, and clean
-// shutdown with work still queued.
+// propagation from workers, stealing under imbalanced loads, clean
+// shutdown with work still queued, and the caller-participating
+// parallel_for fork-join.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -142,17 +144,167 @@ TEST(ThreadPool, RapidDestroyAfterConcurrentSubmitsIsClean) {
   }
 }
 
-TEST(ThreadPool, SubmitFromWorkerRunsInline) {
+TEST(ThreadPool, SubmitFromWorkerLandsOnOwnQueue) {
   ThreadPool pool(2);
   std::atomic<int> ran{0};
+  std::atomic<bool> ran_inline{false};
   pool.submit([&] {
-        // A task submitted from inside a worker lands on that worker's own
-        // queue and still completes.
-        pool.submit([&ran] { ran.fetch_add(1); });
+        // A task submitted from inside a worker is queued (on that worker's
+        // own queue), not run inside submit(), and still completes.
+        const std::thread::id parent = std::this_thread::get_id();
+        bool in_submit = true;  // read only on this thread, if ever inline
+        pool.submit([&ran, &ran_inline, &in_submit, parent] {
+          if (std::this_thread::get_id() == parent && in_submit)
+            ran_inline = true;
+          ran.fetch_add(1);
+        });
+        in_submit = false;
+        // Keep in_submit alive until the child ran (the idle worker steals it).
+        while (ran.load() == 0) std::this_thread::yield();
       })
       .get();
-  pool.wait_idle();
   EXPECT_EQ(ran.load(), 1);
+  EXPECT_FALSE(ran_inline.load());
+}
+
+// -- parallel_for -------------------------------------------------------------
+
+// Spins until `flag` is set, giving up after a generous bound so a broken
+// pool fails the test instead of hanging it.
+bool wait_for(const std::atomic<bool>& flag) {
+  const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!flag.load()) {
+    if (std::chrono::steady_clock::now() > until) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(ThreadPool, ParallelForRunsEveryIndexOnceOnDistinctLanes) {
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), new ThreadPool(3)}) {
+    std::unique_ptr<ThreadPool> owned(pool);
+    const std::size_t lanes = fork_lanes(pool, 100);
+    EXPECT_EQ(lanes, pool == nullptr ? 1u : 3u);
+    std::vector<std::atomic<int>> hits(100);
+    std::vector<std::atomic<int>> lane_busy(lanes);
+    std::atomic<bool> shared_lane{false};
+    parallel_for(pool, hits.size(), [&](std::size_t i, std::size_t lane) {
+      ASSERT_LT(lane, lanes);
+      // One participant per lane at a time: per-lane scratch needs no lock.
+      if (lane_busy[lane].fetch_add(1) != 0) shared_lane = true;
+      hits[i].fetch_add(1);
+      lane_busy[lane].fetch_sub(1);
+    });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+    EXPECT_FALSE(shared_lane.load());
+  }
+  EXPECT_EQ(fork_lanes(nullptr, 0), 1u);
+}
+
+TEST(ThreadPool, ParallelForCompletesWhenEveryWorkerIsBusy) {
+  // Both workers pinned: one by a blocker, the other by the caller itself.
+  // The helper the caller queues can never start, so the caller must cover
+  // the whole range alone — and must not wait for that helper.
+  ThreadPool pool(2);
+  std::atomic<bool> release{false}, blocker_started{false};
+  auto blocker = pool.submit([&] {
+    blocker_started = true;
+    (void)wait_for(release);
+  });
+  ASSERT_TRUE(wait_for(blocker_started));
+  std::atomic<int> ran{0};
+  std::atomic<bool> returned{false}, ran_after_return{false};
+  auto caller = pool.submit([&] {
+    parallel_for(&pool, 50, [&](std::size_t, std::size_t lane) {
+      if (returned.load()) ran_after_return = true;
+      EXPECT_EQ(lane, 0u);
+      ran.fetch_add(1);
+    });
+    returned = true;
+  });
+  EXPECT_EQ(caller.wait_for(std::chrono::seconds(20)), std::future_status::ready);
+  caller.get();
+  EXPECT_EQ(ran.load(), 50);
+  // Only now can the stale helper start: it must claim nothing.
+  release = true;
+  blocker.get();
+  pool.wait_idle();
+  EXPECT_EQ(ran.load(), 50);
+  EXPECT_FALSE(ran_after_return.load());
+}
+
+TEST(ThreadPool, ParallelForHelpersStartingAfterReturnAreNoOps) {
+  // The body and everything it references die with the call; a helper that
+  // is dequeued afterwards must not touch them (ASan would flag it).
+  ThreadPool pool(2);
+  std::atomic<bool> release{false}, blocker_started{false};
+  auto blocker = pool.submit([&] {
+    blocker_started = true;
+    (void)wait_for(release);
+  });
+  ASSERT_TRUE(wait_for(blocker_started));
+  pool.submit([&] {
+        auto scratch = std::make_unique<std::vector<int>>(8, 0);
+        parallel_for(&pool, scratch->size(),
+                     [&](std::size_t i, std::size_t) { (*scratch)[i] = 1; });
+        for (int v : *scratch) EXPECT_EQ(v, 1);
+      })
+      .get();
+  release = true;
+  blocker.get();
+  pool.wait_idle();  // the stale helper has run by now, as a no-op
+}
+
+TEST(ThreadPool, ParallelForCallerNeverRunsAnotherQueuedTask) {
+  // Index 1 runs on a helper (both indices are in flight at once) and
+  // queues a foreign task while the caller is waiting for it.  The caller
+  // must leave that task alone until parallel_for has returned.
+  ThreadPool pool(2);
+  std::atomic<int> entered{0};
+  std::atomic<bool> both_in{false}, caller_waiting{false};
+  std::atomic<bool> foreign_ran_in_caller{false};
+  std::atomic<std::thread::id> caller_id{};
+  std::future<void> foreign;
+  pool.submit([&] {
+        caller_id = std::this_thread::get_id();
+        caller_waiting = true;
+        parallel_for(&pool, 2, [&](std::size_t, std::size_t lane) {
+          if (entered.fetch_add(1) + 1 == 2) both_in = true;
+          ASSERT_TRUE(wait_for(both_in));
+          if (lane == 0) return;
+          foreign = pool.submit([&] {
+            if (std::this_thread::get_id() == caller_id.load() &&
+                caller_waiting.load())
+              foreign_ran_in_caller = true;
+          });
+          std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        });
+        caller_waiting = false;
+      })
+      .get();
+  foreign.get();
+  EXPECT_FALSE(foreign_ran_in_caller.load());
+}
+
+TEST(ThreadPool, ParallelForRethrowsLowestIndexAfterClaimedIndicesFinish) {
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), new ThreadPool(4)}) {
+    std::unique_ptr<ThreadPool> owned(pool);
+    std::atomic<int> active{0};
+    try {
+      parallel_for(pool, 64, [&](std::size_t i, std::size_t) {
+        active.fetch_add(1);
+        // The lowest thrower is the slowest: higher ones throw first.
+        if (i == 5) std::this_thread::sleep_for(std::chrono::milliseconds(30));
+        active.fetch_sub(1);
+        if (i == 5 || i == 17 || i == 40)
+          throw std::runtime_error("index " + std::to_string(i));
+      });
+      FAIL() << "expected a rethrown body exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "index 5");
+      EXPECT_EQ(active.load(), 0);  // nothing claimed is still running
+    }
+  }
 }
 
 }  // namespace

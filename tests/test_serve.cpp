@@ -359,6 +359,32 @@ TEST(ServeCore, StatsJsonCarriesTheRequestIdentity) {
   EXPECT_EQ(core.stats_json(sub.job_id), oc->stats_json);
 }
 
+TEST(ServeCore, RequestSpansAreRecordedWithoutTraceSpans) {
+  // Span totals do not need the timeline ring: a daemon without
+  // --trace-spans still reports each request's serve.queue and
+  // serve.request, per job and in the lifetime registry.
+  ServerCore core(ServeOptions{});
+  const SubmitOutcome sub = core.submit(1, circuit_spec(12, 5));
+  ASSERT_TRUE(sub.accepted);
+  const JobOutcome* oc = core.wait(sub.job_id);
+  ASSERT_TRUE(oc->ok) << oc->error;
+  const auto span_count = [](const JsonValue& spans, const std::string& name) {
+    for (const JsonValue& s : spans.array)
+      if (s.at("name").string == name) return s.at("count").number;
+    return 0.0;
+  };
+  const JsonValue job = json_parse(oc->stats_json);
+  const JsonValue lifetime = json_parse(core.metrics_json()).at("lifetime");
+  if (kObsEnabled) {
+    EXPECT_EQ(span_count(job.at("runtime").at("spans"), "serve.request"), 1.0);
+    EXPECT_EQ(span_count(job.at("runtime").at("spans"), "serve.queue"), 1.0);
+    EXPECT_EQ(job.at("runtime").at("span_count").number, 0.0);  // ring disarmed
+    EXPECT_EQ(lifetime.at("spans").at("serve.request").at("count").number, 1.0);
+  } else {
+    EXPECT_EQ(span_count(job.at("runtime").at("spans"), "serve.request"), 0.0);
+  }
+}
+
 TEST(ServeCore, NetJobsRunTheNetfileGrammar) {
   const BufferLibrary lib = make_standard_library();
   NetSpec spec;
