@@ -6,7 +6,9 @@
 //   cold  — a fresh shared store, populated as the batch runs;
 //   warm  — the store already holds the previous run's entries, so every
 //           recurring sub-problem is adopted instead of recomputed (the
-//           server-mode scenario: re-optimize after a small ECO).
+//           server-mode scenario: re-optimize after a small ECO).  Every
+//           net's whole-net group is among them, so the warm leg runs no
+//           DP layer at all (warm_layer_calls == 0).
 //
 // The headline numbers are the identity bits — cold must be bit-identical
 // to off, warm must produce the exact same trees with strictly more cache
@@ -129,12 +131,14 @@ int main(int argc, char** argv) {
   double warm_ms = 0.0;
   BatchResult warm;
   std::uint64_t warm_shared_hits = 0;
+  std::uint64_t warm_layer_calls = 0;
   for (int rep = 0; rep < kReps; ++rep) {
     ObsSink sink;
     Timed t = run_once(ckt, lib, &warmed, &sink);
     if (rep == 0 || t.ms < warm_ms) warm_ms = t.ms;
     warm = std::move(t.result);
     warm_shared_hits = sink.counters.get(Counter::kCacheSharedHits);
+    warm_layer_calls = sink.counters.get(Counter::kLayerCalls);
   }
 
   const bool identical_off = batch_results_identical(off, cold);
@@ -160,7 +164,8 @@ int main(int argc, char** argv) {
   t.cell("warm");
   t.cell(warm_ms, 1);
   t.cell(warm.stats.det.cache_hits);
-  t.cell(std::to_string(warm_shared_hits) + " shared adoptions");
+  t.cell(std::to_string(warm_shared_hits) + " shared adoptions, " +
+         std::to_string(warm_layer_calls) + " layer calls");
   std::printf("%s\n", t.render().c_str());
   std::printf("identical off/cold: %s   identical cold/warm: %s   "
               "warm speedup: %.2fx   cold overhead: %.1f%%\n",
@@ -180,6 +185,7 @@ int main(int argc, char** argv) {
         << "  \"warm_speedup\": " << warm_speedup << ",\n"
         << "  \"cache_overhead_pct\": " << overhead_pct << ",\n"
         << "  \"warm_shared_hits\": " << warm_shared_hits << ",\n"
+        << "  \"warm_layer_calls\": " << warm_layer_calls << ",\n"
         << "  \"store_entries\": " << store_entries << ",\n"
         << "  \"store_nodes\": " << store_nodes << ",\n"
         << "  \"identical_off\": " << (identical_off ? "true" : "false")

@@ -454,6 +454,32 @@ void compute_group(Lane& lane, std::size_t lane_index, GroupJob& job,
   job.last = ws.arena.end_id();
 }
 
+// The cache key of one stored group (section III.4): the run's context
+// digest, two words saying what the entry holds, then the group's member
+// sinks in order.  A group below the top stores its child curves
+// X(L, E, R, .) under (E, L); the whole-net group stores the one anchor
+// curve extraction reads, A(n, chi_0, n-1, source_p), under
+// (kWholeNetForm, source_p).  kWholeNetForm is past every Chi code, so no
+// lower group's key starts with it.
+inline constexpr std::uint64_t kWholeNetForm = 4;
+
+CacheKey group_key(const CacheKey& ctx, std::uint64_t form, std::uint64_t arg,
+                   const GroupSpan& span, const Net& net, const Order& order) {
+  SigHasher h(ctx);
+  h.mix(form);
+  h.mix(arg);
+  for (const std::size_t mpos : span.member_positions()) {
+    const std::uint32_t sid = order[mpos];
+    const Sink& s = net.sinks[sid];
+    h.mix(sid);
+    h.mix_i32(s.pos.x);
+    h.mix_i32(s.pos.y);
+    h.mix_double(s.load);
+    h.mix_double(s.req_time);
+  }
+  return h.digest();
+}
+
 }  // namespace
 
 BubbleResult bubble_construct(const Net& net, const BufferLibrary& lib,
@@ -544,42 +570,79 @@ BubbleResult bubble_construct(const Net& net, const BufferLibrary& lib,
     return cs;
   };
 
+  // Section III.4 sub-problem reuse: within the run context hashed above,
+  // a group's stored curves are a function of (structure, ordered member
+  // sinks) only — so runs over overlapping neighborhoods, other nets with
+  // matching structure, and published entries from a shared
+  // SubproblemCache can copy instead of recompute.  A hit materializes the
+  // arena-independent entry into this run's arena (cache/store.h) as
+  // Gamma(L, E, R, p) for p = first, first + 1, ...
+  const auto adopt = [&](const CacheKey& key, const GroupSpan& g,
+                         std::size_t first) {
+    bool shared_hit = false;
+    const CacheEntry* hit = cache->find(key, &shared_hit);
+    if (hit == nullptr) {
+      obs_add(cfg.obs, Counter::kGammaCacheMisses);
+      return false;
+    }
+    obs_add(cfg.obs, Counter::kGammaCacheHits);
+    if (shared_hit) obs_add(cfg.obs, Counter::kCacheSharedHits);
+    std::vector<SolutionCurve> mat = materialize_entry(*hit, arena);
+    for (std::size_t i = 0; i < mat.size(); ++i)
+      gamma.at(g.len, g.e, g.right, first + i) = std::move(mat[i]);
+    return true;
+  };
+
+  // The whole-net group is looked up before anything is built: its entry
+  // holds the one curve extraction reads, so a hit skips the whole DP —
+  // no layer call, no step charged, no bubble fault site passed.  A miss
+  // builds as usual and stores that curve after the construction.
+  const GroupSpan whole{n, Chi::kChi0, n - 1};
+  CacheKey whole_key{};
+  bool whole_hit = false;
+  if (cache != nullptr) {
+    whole_key = group_key(ctx, kWholeNetForm, source_p, whole, net, order);
+    whole_hit = adopt(whole_key, whole, source_p);
+  }
+
   // INITIALIZATION (Figure 9 lines 1-4): length-1 groups.  Single-sink
   // structures may always carry a buffer (they are leaves, not internal
   // nodes, so allow_unbuffered_groups does not apply).
-  for (Chi e : chis(1)) {
-    for (std::size_t r = 0; r < n; ++r) {
-      const GroupSpan span{1, e, r};
-      if (!span.valid(n)) continue;
-      const std::size_t pos = span.member_positions().front();
-      const Sink& s = net.sinks[order[pos]];
-      std::vector<SolutionCurve> anchor(ws.k);
-      for (std::size_t p = 0; p < ws.k; ++p) {
-        const double len = static_cast<double>(manhattan(ws.pts[p], s.pos));
-        SolutionCurve base;
-        for (const double width : ws.widths()) {
-          const WireModel wm = scaled_width(net.wire, width);
-          Solution sol;
-          sol.req_time = s.req_time - wm.elmore_delay(len, s.load);
-          sol.load = s.load + wm.wire_cap(len);
-          sol.wirelen = len;
-          sol.node = ws.arena.make_sink(
-              ws.pts[p], static_cast<std::int32_t>(order[pos]), width);
-          base.push(std::move(sol));
-          if (len == 0.0) break;
+  if (!whole_hit) {
+    for (Chi e : chis(1)) {
+      for (std::size_t r = 0; r < n; ++r) {
+        const GroupSpan span{1, e, r};
+        if (!span.valid(n)) continue;
+        const std::size_t pos = span.member_positions().front();
+        const Sink& s = net.sinks[order[pos]];
+        std::vector<SolutionCurve> anchor(ws.k);
+        for (std::size_t p = 0; p < ws.k; ++p) {
+          const double len = static_cast<double>(manhattan(ws.pts[p], s.pos));
+          SolutionCurve base;
+          for (const double width : ws.widths()) {
+            const WireModel wm = scaled_width(net.wire, width);
+            Solution sol;
+            sol.req_time = s.req_time - wm.elmore_delay(len, s.load);
+            sol.load = s.load + wm.wire_cap(len);
+            sol.wirelen = len;
+            sol.node = ws.arena.make_sink(
+                ws.pts[p], static_cast<std::int32_t>(order[pos]), width);
+            base.push(std::move(sol));
+            if (len == 0.0) break;
+          }
+          for (const Solution& sol : base) anchor[p].push(sol);
+          push_buffered_options(ws.arena, base, ws.pts[p], lib, anchor[p],
+                                cfg.buffer_stride, cfg.obs);
+          anchor[p].prune(cfg.group_prune);
         }
-        for (const Solution& sol : base) anchor[p].push(sol);
-        push_buffered_options(ws.arena, base, ws.pts[p], lib, anchor[p],
-                              cfg.buffer_stride, cfg.obs);
-        anchor[p].prune(cfg.group_prune);
-      }
-      if (n == 1) {
-        for (std::size_t p = 0; p < ws.k; ++p)
-          gamma.at(1, e, r, p) = std::move(anchor[p]);
-      } else {
-        auto x = anchors_to_child(ws, anchor);
-        for (std::size_t p = 0; p < ws.k; ++p)
-          gamma.at(1, e, r, p) = std::move(x[p]);
+        if (n == 1) {
+          for (std::size_t p = 0; p < ws.k; ++p)
+            gamma.at(1, e, r, p) = std::move(anchor[p]);
+        } else {
+          auto x = anchors_to_child(ws, anchor);
+          for (std::size_t p = 0; p < ws.k; ++p)
+            gamma.at(1, e, r, p) = std::move(x[p]);
+        }
       }
     }
   }
@@ -601,7 +664,7 @@ BubbleResult bubble_construct(const Net& net, const BufferLibrary& lib,
   std::vector<std::unique_ptr<Lane>> lanes;
   std::vector<SolNodeId> roots;
   std::uint64_t peak_live = 0;  // run arena + the layer's overlay nodes
-  for (std::size_t L = 2; L <= n; ++L) {
+  for (std::size_t L = 2; L <= n && !whole_hit; ++L) {
     TraceSpan layer_span(cfg.obs, SpanName::kBubbleLayer, L);
     const bool top = L == n;
     std::size_t n_jobs = 0;
@@ -619,40 +682,15 @@ BubbleResult bubble_construct(const Net& net, const BufferLibrary& lib,
                                    std::min<std::size_t>(arena.size(), kNullSol)));
         guard_point(cfg.guard, FaultSite::kBubbleGroup);
 
-        // Section III.4 sub-problem reuse: within the run context hashed
-        // above, a group's stored curves are a function of (structure,
-        // ordered member sinks) only — so runs over overlapping
-        // neighborhoods, other nets with matching structure, and published
-        // entries from a shared SubproblemCache can copy instead of
-        // recompute.  Hits materialize the arena-independent entry into
-        // this run's arena (cache/store.h).  No two groups of one layer
-        // share a key, so looking every group up before any of the layer's
-        // inserts finds exactly what the group-by-group order found.
+        // No two groups of one layer share a key, so looking every group
+        // up before any of the layer's inserts finds exactly what the
+        // group-by-group order found.  The whole-net group was looked up
+        // before the construction.
         CacheKey cache_key{};
         if (cache != nullptr && !top) {
-          SigHasher h(ctx);
-          h.mix(static_cast<std::uint64_t>(E));
-          h.mix(L);
-          for (const std::size_t mpos : Omega.member_positions()) {
-            const std::uint32_t sid = order[mpos];
-            const Sink& s = net.sinks[sid];
-            h.mix(sid);
-            h.mix_i32(s.pos.x);
-            h.mix_i32(s.pos.y);
-            h.mix_double(s.load);
-            h.mix_double(s.req_time);
-          }
-          cache_key = h.digest();
-          bool shared_hit = false;
-          if (const CacheEntry* hit = cache->find(cache_key, &shared_hit)) {
-            obs_add(cfg.obs, Counter::kGammaCacheHits);
-            if (shared_hit) obs_add(cfg.obs, Counter::kCacheSharedHits);
-            std::vector<SolutionCurve> mat = materialize_entry(*hit, arena);
-            for (std::size_t p = 0; p < ws.k; ++p)
-              gamma.at(L, E, R, p) = std::move(mat[p]);
-            continue;
-          }
-          obs_add(cfg.obs, Counter::kGammaCacheMisses);
+          cache_key = group_key(ctx, static_cast<std::uint64_t>(E), L, Omega,
+                                net, order);
+          if (adopt(cache_key, Omega, 0)) continue;
         }
 
         if (n_jobs == jobs.size()) jobs.emplace_back();
@@ -779,6 +817,12 @@ BubbleResult bubble_construct(const Net& net, const BufferLibrary& lib,
         gamma.at(L, job.E, job.R, p) = std::move(job.out[p]);
     }
   }
+  // Only the source's anchor curve of the whole-net group is ever read, so
+  // it is all that group's entry stores.
+  if (cache != nullptr && !whole_hit)
+    cache->insert(whole_key,
+                  std::span(&gamma.at(n, Chi::kChi0, n - 1, source_p), 1),
+                  arena);
 
   // EXTRACTION (Figure 9 lines 21-23).
   BubbleResult res;

@@ -7,6 +7,8 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -14,13 +16,17 @@
 #include "buflib/library.h"
 #include "cache/shard.h"
 #include "cache/signature.h"
+#include "cache/snapshot.h"
 #include "cache/store.h"
+#include "core/bubble.h"
 #include "curve/arena.h"
 #include "curve/curve.h"
 #include "flow/batch.h"
 #include "flow/circuit.h"
+#include "geom/hanan.h"
 #include "net/generator.h"
 #include "obs/sink.h"
+#include "order/tsp.h"
 
 namespace merlin {
 namespace {
@@ -416,6 +422,152 @@ TEST(CacheDeterminism, EvictionPressureKeepsRunsIdentical) {
   EXPECT_TRUE(batch_results_identical(ra2, rb2));
   EXPECT_EQ(a.entry_count(), b.entry_count());
   EXPECT_EQ(a.node_cost(), b.node_cost());
+}
+
+// ---------------------------------------------------------------------------
+// The whole-net group's entry: looked up before BUBBLE_CONSTRUCT builds
+// anything, so a net whose (context, source, ordered sinks) was seen
+// before runs no DP layer at all.
+// ---------------------------------------------------------------------------
+
+TEST(CacheWholeNet, WarmRerunRunsNoDpLayerAtAnyThreadCount) {
+  if (cache_env_off()) GTEST_SKIP() << "MERLIN_CACHE=off disables sharing";
+  const Circuit ckt = cache_circuit(505);
+  std::vector<BatchResult> warms;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SubproblemCache shared(CacheConfig{1u << 22, 8});
+    const BatchResult cold = run_cached(ckt, &shared, threads);
+    ObsSink sink;
+    BatchResult warm = run_cached(ckt, &shared, threads, &sink);
+    EXPECT_EQ(batch_result_digest(cold), batch_result_digest(warm));
+    EXPECT_TRUE(batch_results_equivalent(cold, warm)) << threads << " threads";
+    if (kObsEnabled) {
+      // Every bubble run is one lookup, and it hits: nothing is built.
+      const std::uint64_t runs = sink.counters.get(Counter::kBubbleRuns);
+      EXPECT_GT(runs, 0u);
+      EXPECT_EQ(sink.counters.get(Counter::kGammaCacheHits), runs);
+      EXPECT_EQ(sink.counters.get(Counter::kGammaCacheMisses), 0u);
+      EXPECT_EQ(sink.counters.get(Counter::kLayerCalls), 0u);
+      EXPECT_EQ(sink.counters.get(Counter::kCurvePointsPushed), 0u);
+    }
+    warms.push_back(std::move(warm));
+  }
+  EXPECT_TRUE(batch_results_identical(warms[0], warms[1]));
+}
+
+/// Bitwise equality of what extraction hands back.
+void expect_same_bubble_result(const BubbleResult& x, const BubbleResult& y) {
+  EXPECT_EQ(x.out_order, y.out_order);
+  EXPECT_EQ(x.driver_req_time, y.driver_req_time);
+  EXPECT_EQ(x.chosen.req_time, y.chosen.req_time);
+  EXPECT_EQ(x.chosen.load, y.chosen.load);
+  EXPECT_EQ(x.chosen.area, y.chosen.area);
+  EXPECT_EQ(x.tree.buffer_count(), y.tree.buffer_count());
+  ASSERT_EQ(x.root_curve.size(), y.root_curve.size());
+  for (std::size_t i = 0; i < x.root_curve.size(); ++i) {
+    EXPECT_EQ(x.root_curve[i].req_time, y.root_curve[i].req_time);
+    EXPECT_EQ(x.root_curve[i].load, y.root_curve[i].load);
+    EXPECT_EQ(x.root_curve[i].area, y.root_curve[i].area);
+    EXPECT_EQ(x.root_curve[i].wirelen, y.root_curve[i].wirelen);
+  }
+}
+
+TEST(CacheWholeNet, SourceLocationIsPartOfTheWholeNetKey) {
+  // Two nets with the same sinks and the same candidate set, differing
+  // only in where the source sits: every group below the top is shared,
+  // but the whole-net entry holds the curve at the source, so neither net
+  // may be served the other's.
+  const BufferLibrary& lib = lib_ref();
+  NetSpec spec;
+  spec.n_sinks = 5;
+  spec.seed = 61;
+  Net a = make_random_net(spec, lib);
+  Net b = a;
+  a.source = Point{a.sinks[0].pos.x, a.sinks[1].pos.y};
+  b.source = Point{a.sinks[2].pos.x, a.sinks[3].pos.y};
+  ASSERT_FALSE(a.source == b.source);
+
+  BubbleConfig cfg;
+  cfg.alpha = 3;
+  cfg.candidates.policy = CandidatePolicy::kFullHanan;
+  cfg.inner_prune.max_solutions = 4;
+  cfg.group_prune.max_solutions = 5;
+  cfg.buffer_stride = 4;
+  // Both sources lie on the sinks' Hanan grid, so the realized candidate
+  // sets — and with them the run contexts — are the same.
+  ASSERT_EQ(candidate_locations(a.terminals(), cfg.candidates),
+            candidate_locations(b.terminals(), cfg.candidates));
+
+  const Order order = tsp_order(a);
+  CacheSession session;
+  const BubbleResult ra = bubble_construct(a, lib, order, cfg, &session);
+  const BubbleResult rb = bubble_construct(b, lib, order, cfg, &session);
+  EXPECT_GT(rb.layer_calls, 0u) << "b was served a's whole-net entry";
+  const BubbleResult ra_again = bubble_construct(a, lib, order, cfg, &session);
+  EXPECT_EQ(ra_again.layer_calls, 0u) << "a's own entry must serve a";
+  EXPECT_GT(session.hits(), 0u);
+
+  const BubbleResult a_off = bubble_construct(a, lib, order, cfg);
+  const BubbleResult b_off = bubble_construct(b, lib, order, cfg);
+  expect_same_bubble_result(ra, a_off);
+  expect_same_bubble_result(ra_again, a_off);
+  expect_same_bubble_result(rb, b_off);
+}
+
+TEST(CacheWholeNet, BudgetTrippedNetPublishesNoWholeNetEntry) {
+  if (cache_env_off()) GTEST_SKIP() << "MERLIN_CACHE=off disables sharing";
+  NetSpec spec;
+  spec.n_sinks = 6;
+  spec.seed = 62;
+  const std::vector<Net> nets{make_random_net(spec, lib_ref())};
+  BatchOptions opts;
+  opts.threads = 2;
+  opts.flow = FlowKind::kFlow3;
+  opts.scaled_config = false;
+  opts.config = cheap_cfg();
+  SubproblemCache shared(CacheConfig{1u << 22, 8});
+  opts.cache = &shared;
+  opts.guard.step_budget = 60;  // trips the first attempt
+  const BatchResult tripped = BatchRunner(lib_ref(), opts).run_nets(nets);
+  ASSERT_EQ(tripped.nets.size(), 1u);
+  ASSERT_EQ(tripped.nets[0].status, NetStatus::kDegraded);
+  EXPECT_EQ(shared.entry_count(), 0u);
+
+  // The unbudgeted rerun finds nothing to reuse: it builds every layer and
+  // matches a run with the cache off, hit counts included.
+  opts.guard.step_budget = 0;
+  ObsSink sink;
+  opts.obs = &sink;
+  const BatchResult clean = BatchRunner(lib_ref(), opts).run_nets(nets);
+  if (kObsEnabled) {
+    EXPECT_GT(sink.counters.get(Counter::kLayerCalls), 0u);
+  }
+  opts.cache = nullptr;
+  opts.obs = nullptr;
+  const BatchResult off = BatchRunner(lib_ref(), opts).run_nets(nets);
+  EXPECT_TRUE(batch_results_identical(clean, off));
+  EXPECT_GT(shared.entry_count(), 0u);
+}
+
+TEST(CacheWholeNet, SnapshotRoundTripServesSeenNetsWithoutDp) {
+  if (cache_env_off()) GTEST_SKIP() << "MERLIN_CACHE=off disables sharing";
+  const Circuit ckt = cache_circuit(506);
+  SubproblemCache first(CacheConfig{1u << 22, 8});
+  const BatchResult cold = run_cached(ckt, &first, 2);
+  const std::string path = ::testing::TempDir() + "whole_net_cache.snap";
+  ASSERT_TRUE(save_cache_snapshot(first, path));
+
+  SubproblemCache restored(CacheConfig{1u << 22, 8});
+  ASSERT_TRUE(load_cache_snapshot(restored, path).loaded());
+  std::remove(path.c_str());
+  EXPECT_EQ(restored.entry_count(), first.entry_count());
+  ObsSink sink;
+  const BatchResult warm = run_cached(ckt, &restored, 2, &sink);
+  EXPECT_TRUE(batch_results_equivalent(cold, warm));
+  if (kObsEnabled) {
+    EXPECT_GT(sink.counters.get(Counter::kBubbleRuns), 0u);
+    EXPECT_EQ(sink.counters.get(Counter::kLayerCalls), 0u);
+  }
 }
 
 }  // namespace
