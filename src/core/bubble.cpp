@@ -9,6 +9,7 @@
 
 #include "cache/shard.h"
 #include "core/grouping.h"
+#include "ptree/ptree.h"
 #include "runtime/guard.h"
 #include "runtime/pool.h"
 
@@ -67,69 +68,34 @@ class GammaTable {
   std::vector<SolutionCurve> cells_;
 };
 
-// One element of a layer's terminal sequence: either a direct sink or one of
-// the layer's inner sub-groups (one in the classic Ca_Tree, up to two in the
-// relaxed structure).
-struct Terminal {
-  bool is_child = false;
-  std::uint8_t child_slot = 0;  ///< which inner group, when is_child
-  std::uint32_t sink = 0;   ///< original sink index when !is_child
-  std::size_t pos = 0;      ///< order position (kNoPos for the child/displaced)
-};
-
+// Order position of a layer terminal that may not take part in a
+// within-layer swap: a child group, or a sink already displaced by bubbling.
 inline constexpr std::size_t kNoPos = static_cast<std::size_t>(-1);
-
-// Dense (i, j, p) storage for the within-layer *PTREE DP (w is tiny: <=
-// alpha).  One instance lives in the Workspace and is re-prepared per layer
-// call: clearing cells keeps their vector capacity, so after the first few
-// layers the entire within-layer DP runs without heap allocation.
-class LayerTable {
- public:
-  void prepare(std::size_t w, std::size_t k) {
-    w_ = w;
-    k_ = k;
-    const std::size_t need = w * (w + 1) / 2 * k;
-    if (cells_.size() < need) cells_.resize(need);
-    for (std::size_t i = 0; i < need; ++i) cells_[i].clear();
-  }
-
-  SolutionCurve& at(std::size_t i, std::size_t j, std::size_t p) {
-    return cells_[(i * w_ - i * (i - 1) / 2 + (j - i)) * k_ + p];
-  }
-
- private:
-  std::size_t w_ = 0, k_ = 0;
-  std::vector<SolutionCurve> cells_;
-};
-
-inline constexpr double kDefaultWidth[] = {1.0};
 
 // The candidate locations P and, per location, the candidates a wire
 // extension may start from (see BubbleConfig::extension_neighbors), nearest
 // first.  Fixed for the run and read by every lane.
-struct Candidates {
-  std::vector<Point> pts;
-  std::vector<std::vector<std::uint32_t>> neigh;
-
-  Candidates(std::vector<Point> pts_, std::size_t extension_neighbors)
-      : pts(std::move(pts_)), neigh(pts.size()) {
-    const std::size_t k = pts.size();
-    std::vector<std::uint32_t> all(k);
-    for (std::uint32_t p = 0; p < k; ++p) all[p] = p;
-    for (std::uint32_t p = 0; p < k; ++p) {
-      std::vector<std::uint32_t> order_by_dist = all;
-      std::sort(order_by_dist.begin(), order_by_dist.end(),
-                [&](std::uint32_t a, std::uint32_t b) {
-                  return manhattan(pts[a], pts[p]) < manhattan(pts[b], pts[p]);
-                });
-      const std::size_t keep =
-          extension_neighbors == 0 ? k
-                                   : std::min<std::size_t>(k, extension_neighbors + 1);
-      for (std::size_t t = 0; t < keep; ++t)
-        if (order_by_dist[t] != p) neigh[p].push_back(order_by_dist[t]);
-    }
+CandidateSet nearest_sources(std::vector<Point> pts,
+                             std::size_t extension_neighbors) {
+  const std::size_t k = pts.size();
+  CandidateSet cand{std::move(pts), std::vector<std::vector<std::uint32_t>>(k)};
+  std::vector<std::uint32_t> all(k);
+  for (std::uint32_t p = 0; p < k; ++p) all[p] = p;
+  for (std::uint32_t p = 0; p < k; ++p) {
+    const Point at = cand.pts[p];
+    std::vector<std::uint32_t> order_by_dist = all;
+    std::sort(order_by_dist.begin(), order_by_dist.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                return manhattan(cand.pts[a], at) < manhattan(cand.pts[b], at);
+              });
+    const std::size_t keep =
+        extension_neighbors == 0 ? k
+                                 : std::min<std::size_t>(k, extension_neighbors + 1);
+    for (std::size_t t = 0; t < keep; ++t)
+      if (order_by_dist[t] != p) cand.sources[p].push_back(order_by_dist[t]);
   }
-};
+  return cand;
+}
 
 // Where one participant builds curves: the run arena for the serial
 // length-1 initialization, a lane's overlay arena for a layer's groups.
@@ -138,28 +104,20 @@ struct Workspace {
   const Net& net;
   const BufferLibrary& lib;
   const BubbleConfig& cfg;
-  const std::vector<Point>& pts;
-  const std::vector<std::vector<std::uint32_t>>& neigh;
+  const CandidateSet& cand;
   SolutionArena& arena;
   std::size_t k = 0;
-  std::vector<Point> neigh_pts_scratch;
-  // Per-layer-call scratch, reused across the whole construction so curve
-  // and table capacity warms up once (see LayerTable::prepare).
-  LayerTable layer_scratch;
-  std::vector<SolutionCurve> ext_scratch;     // extension staging, one per p
-  std::vector<SolutionCurve> routed_scratch;  // layer_ptree output, one per p
-  std::vector<MergeJob> jobs_scratch;
-  std::vector<const SolutionCurve*> srcs_scratch;
-
-  [[nodiscard]] std::span<const double> widths() const {
-    return cfg.wire_widths.empty() ? std::span<const double>(kDefaultWidth)
-                                   : std::span<const double>(cfg.wire_widths);
-  }
+  std::span<const double> widths;
+  // *PTREE scratch and output, reused across the whole construction so
+  // curve and table capacity warms up once.
+  PTreeScratch dp;
+  std::vector<SolutionCurve> routed;  // ptree_range_dp output, one per p
 
   Workspace(const Net& net_, const BufferLibrary& lib_, const BubbleConfig& cfg_,
-            const Candidates& cand, SolutionArena& arena_)
-      : net(net_), lib(lib_), cfg(cfg_), pts(cand.pts), neigh(cand.neigh),
-        arena(arena_), k(cand.pts.size()) {}
+            const CandidateSet& cand_, SolutionArena& arena_)
+      : net(net_), lib(lib_), cfg(cfg_), cand(cand_), arena(arena_),
+        k(cand_.pts.size()),
+        widths(wire_widths_or_default(cfg_.wire_widths)) {}
 };
 
 // One lane of a layer's fork-join: the obs sink and workspace of whichever
@@ -174,7 +132,7 @@ struct Lane {
   Workspace ws;  ///< ws.arena is the lane's overlay
 
   Lane(const Net& net, const BufferLibrary& lib, const BubbleConfig& run_cfg,
-       const Candidates& cand, SolutionArena& overlay)
+       const CandidateSet& cand, SolutionArena& overlay)
       : cfg(lane_config(run_cfg, &sink)), ws(net, lib, cfg, cand, overlay) {}
 
   static BubbleConfig lane_config(BubbleConfig c, ObsSink* lane_sink) {
@@ -183,96 +141,6 @@ struct Lane {
     return c;
   }
 };
-
-// The *PTREE layer DP (paper section 3.2.3): finds non-inferior rectilinear
-// routings rooted at every candidate location over the ordered terminals,
-// where one terminal may be an already-built sub-group represented by its
-// child curves X (one curve per root location, viewed in place in the Gamma
-// table).  Fills `routed` with the full-range curve per candidate location.
-// Its step charge and fault site belong to the serial plan (see
-// plan_call), so a lane only polls the wall-clock deadline here.
-void layer_ptree(Workspace& ws, std::span<const Terminal> seq,
-                 std::span<const std::span<const SolutionCurve>> children,
-                 std::vector<SolutionCurve>& routed) {
-  const std::size_t w = seq.size();
-  const std::size_t k = ws.k;
-  const PruneConfig& prune = ws.cfg.inner_prune;
-  LayerTable& table = ws.layer_scratch;
-  table.prepare(w, k);
-  guard_deadline(ws.cfg.guard);
-
-  // Base cases.
-  for (std::size_t t = 0; t < w; ++t) {
-    if (seq[t].is_child) {
-      const auto& child_at = children[seq[t].child_slot];
-      for (std::size_t p = 0; p < k; ++p) table.at(t, t, p) = child_at[p];
-    } else {
-      const Sink& s = ws.net.sinks[seq[t].sink];
-      for (std::size_t p = 0; p < k; ++p) {
-        SolutionCurve& cell = table.at(t, t, p);
-        const double len = static_cast<double>(manhattan(ws.pts[p], s.pos));
-        for (const double width : ws.widths()) {
-          const WireModel wm = scaled_width(ws.net.wire, width);
-          Solution sol;
-          sol.req_time = s.req_time - wm.elmore_delay(len, s.load);
-          sol.load = s.load + wm.wire_cap(len);
-          sol.wirelen = len;
-          sol.node = ws.arena.make_sink(
-              ws.pts[p], static_cast<std::int32_t>(seq[t].sink), width);
-          cell.push(std::move(sol));
-          if (len == 0.0) break;
-        }
-        cell.prune(prune);
-      }
-    }
-  }
-
-  // Ranges by increasing length: merges at each point, then one
-  // wire-extension relaxation (sufficient under Elmore; see ptree.cpp).
-  std::vector<MergeJob>& jobs = ws.jobs_scratch;
-  std::vector<const SolutionCurve*>& srcs = ws.srcs_scratch;
-  ws.ext_scratch.resize(k);
-  for (std::size_t len = 2; len <= w; ++len) {
-    for (std::size_t i = 0; i + len <= w; ++i) {
-      const std::size_t j = i + len - 1;
-      for (std::size_t p = 0; p < k; ++p) {
-        SolutionCurve& cell = table.at(i, j, p);
-        jobs.clear();
-        for (std::size_t u = i; u < j; ++u)
-          jobs.push_back(MergeJob{&table.at(i, u, p), &table.at(u + 1, j, p)});
-        // Fresh cell (prepare() cleared the table): the batch merge already
-        // pruned with this config, so a re-prune would be a no-op.
-        push_merged_options(ws.arena, jobs, ws.pts[p], prune, cell);
-      }
-      // The extension relaxation reads the pre-extension (merge-only) cells,
-      // so results are staged and committed after the sweep.
-      for (std::size_t p = 0; p < k; ++p) {
-        SolutionCurve& ext = ws.ext_scratch[p];
-        ext.clear();
-        const auto& nb = ws.neigh[p];
-        srcs.resize(nb.size());
-        ws.neigh_pts_scratch.resize(nb.size());
-        for (std::size_t t = 0; t < nb.size(); ++t) {
-          srcs[t] = &table.at(i, j, nb[t]);
-          ws.neigh_pts_scratch[t] = ws.pts[nb[t]];
-        }
-        push_extended_options(ws.arena, srcs, ws.neigh_pts_scratch, ws.pts[p],
-                              ws.net.wire, prune, ext, ws.widths());
-      }
-      for (std::size_t p = 0; p < k; ++p) {
-        SolutionCurve& cell = table.at(i, j, p);
-        for (const Solution& s : ws.ext_scratch[p]) cell.push(s);
-        cell.prune(prune);
-      }
-    }
-  }
-
-  routed.resize(k);
-  for (std::size_t p = 0; p < k; ++p) {
-    routed[p].clear();
-    for (const Solution& s : table.at(0, w - 1, p)) routed[p].push(s);
-  }
-}
 
 // Converts anchor curves (one per candidate) into child curves X: at each
 // destination p, the pruned union over anchors pc of "A at pc + wire pc->p".
@@ -284,8 +152,8 @@ std::vector<SolutionCurve> anchors_to_child(Workspace& ws,
   for (std::size_t p = 0; p < ws.k; ++p) {
     // Child curves are long-lived inputs to later layers; give them the
     // (richer) group budget rather than the transient inner one.
-    push_extended_options(ws.arena, srcs, ws.pts, ws.pts[p], ws.net.wire,
-                          ws.cfg.group_prune, x[p], ws.widths());
+    push_extended_options(ws.arena, srcs, ws.cand.pts, ws.cand.pts[p], ws.net.wire,
+                          ws.cfg.group_prune, x[p], ws.widths);
   }
   return x;
 }
@@ -298,7 +166,7 @@ void apply_root_options(Workspace& ws, const std::vector<SolutionCurve>& routed,
     if (routed[p].empty()) continue;
     if (keep_unbuffered)
       for (const Solution& s : routed[p]) into[p].push(s);
-    push_buffered_options(ws.arena, routed[p], ws.pts[p], ws.lib, into[p],
+    push_buffered_options(ws.arena, routed[p], ws.cand.pts[p], ws.lib, into[p],
                           ws.cfg.buffer_stride, ws.cfg.obs);
     // Amortized pruning keeps accumulation cells from ballooning while many
     // (l, e, r) child choices pour into the same (L, E, R) group.
@@ -312,7 +180,7 @@ void apply_root_options(Workspace& ws, const std::vector<SolutionCurve>& routed,
 // returns false when any pairing is incompatible (Figure 12 / line 15).
 bool build_sequence(const Order& order, const GroupSpan& Omega,
                     std::span<const GroupSpan> omegas,
-                    std::vector<Terminal>& seq) {
+                    std::vector<PTreeTerminal>& seq) {
   for (const GroupSpan& omega : omegas)
     for (std::size_t pos : omega.member_positions())
       if (!Omega.contains_position(pos)) return false;  // g - G != empty
@@ -325,10 +193,10 @@ bool build_sequence(const Order& order, const GroupSpan& Omega,
     // again (every sink may move at most once inside N(Pi)).
     const GroupSpan& omega = omegas[slot];
     if (const auto lh = omega.left_hole(); lh && Omega.contains_position(*lh))
-      seq.push_back(Terminal{false, 0, order[*lh], kNoPos});
-    seq.push_back(Terminal{true, static_cast<std::uint8_t>(slot), 0, kNoPos});
+      seq.push_back(PTreeTerminal{false, 0, order[*lh], kNoPos});
+    seq.push_back(PTreeTerminal{true, static_cast<std::uint8_t>(slot), 0, kNoPos});
     if (const auto rh = omega.right_hole(); rh && Omega.contains_position(*rh))
-      seq.push_back(Terminal{false, 0, order[*rh], kNoPos});
+      seq.push_back(PTreeTerminal{false, 0, order[*rh], kNoPos});
     emitted[slot] = true;
   };
   for (std::size_t pos : Omega.member_positions()) {
@@ -340,7 +208,7 @@ bool build_sequence(const Order& order, const GroupSpan& Omega,
     if (inside < omegas.size()) {
       if (!emitted[inside]) emit_child_block(inside);
     } else {
-      seq.push_back(Terminal{false, 0, order[pos], pos});
+      seq.push_back(PTreeTerminal{false, 0, order[pos], pos});
     }
   }
   // A child's span always contains at least one Omega member, so every
@@ -358,15 +226,15 @@ bool build_sequence(const Order& order, const GroupSpan& Omega,
 // and displaced/bubbled sinks never move twice).  |variants| <= F(alpha),
 // a small constant.  `visit` sees each variant in a fixed order.
 template <typename Visit>
-void enumerate_layer_sequences(const std::vector<Terminal>& base,
-                               std::size_t from, std::vector<Terminal>& cur,
+void enumerate_layer_sequences(const std::vector<PTreeTerminal>& base,
+                               std::size_t from, std::vector<PTreeTerminal>& cur,
                                Visit& visit) {
   if (from + 1 >= base.size()) {
     visit(cur);
     return;
   }
-  const Terminal& a = base[from];
-  const Terminal& b = base[from + 1];
+  const PTreeTerminal& a = base[from];
+  const PTreeTerminal& b = base[from + 1];
   const bool swappable =
       !a.is_child && !b.is_child && a.pos != kNoPos && b.pos != kNoPos &&
       (a.pos + 1 == b.pos || b.pos + 1 == a.pos);
@@ -394,7 +262,7 @@ struct GroupJob {
   Chi E = Chi::kChi0;
   std::size_t R = 0;
   CacheKey key{};
-  std::vector<Terminal> terms;
+  std::vector<PTreeTerminal> terms;
   std::vector<LayerCall> calls;
   std::vector<SolutionCurve> out;  ///< X(L,E,R,.), or A(n,...) at the top
   std::size_t lane = 0;            ///< lane whose overlay holds out's nodes
@@ -406,7 +274,7 @@ struct GroupJob {
 // candidates) state count — the dominant cost unit of the construction —
 // then the layer fault site.  Charging in the serial plan keeps budget
 // trips and injected faults at the same point at every thread count.
-void plan_call(GroupJob& job, std::span<const Terminal> seq,
+void plan_call(GroupJob& job, std::span<const PTreeTerminal> seq,
                std::span<const std::span<const SolutionCurve>> children,
                std::size_t k, NetGuard* guard, std::size_t& layer_calls) {
   guard_step(guard, seq.size() * k);
@@ -434,11 +302,15 @@ void compute_group(Lane& lane, std::size_t lane_index, GroupJob& job,
   job.first = ws.arena.end_id();
   std::vector<SolutionCurve> acc(ws.k);
   for (const LayerCall& c : job.calls) {
-    layer_ptree(ws,
-                std::span<const Terminal>(job.terms).subspan(c.begin, c.end - c.begin),
-                std::span(c.children.data(), c.n_children), ws.routed_scratch);
-    apply_root_options(ws, ws.routed_scratch,
-                       cfg.allow_unbuffered_groups || top, acc);
+    // The call's step charge and fault site belong to the serial plan (see
+    // plan_call), so a lane only polls the wall-clock deadline.
+    guard_deadline(cfg.guard);
+    ptree_range_dp(ws.net, ws.cand, ws.widths,
+                   std::span<const PTreeTerminal>(job.terms)
+                       .subspan(c.begin, c.end - c.begin),
+                   std::span(c.children.data(), c.n_children), cfg.inner_prune,
+                   /*guard=*/nullptr, ws.arena, ws.dp, ws.routed);
+    apply_root_options(ws, ws.routed, cfg.allow_unbuffered_groups || top, acc);
   }
   if (kObsEnabled && cfg.obs != nullptr) {
     std::uint64_t entering = 0;
@@ -507,14 +379,15 @@ BubbleResult bubble_construct(const Net& net, const BufferLibrary& lib,
   if (lib.empty()) throw std::invalid_argument("bubble_construct: empty library");
   if (cfg.alpha < 2) throw std::invalid_argument("bubble_construct: alpha must be >= 2");
 
-  const Candidates cand(candidate_locations(net.terminals(), cfg.candidates),
-                        cfg.extension_neighbors);
+  const CandidateSet cand = nearest_sources(
+      candidate_locations(net.terminals(), cfg.candidates),
+      cfg.extension_neighbors);
   // The run workspace: the serial length-1 initialization builds straight
   // into the run arena; layers L >= 2 compute on lanes (see below).
   Workspace ws(net, lib, cfg, cand, arena);
   std::size_t source_p = ws.k;
   for (std::size_t p = 0; p < ws.k; ++p)
-    if (ws.pts[p] == net.source) source_p = p;
+    if (cand.pts[p] == net.source) source_p = p;
   if (source_p == ws.k)
     throw std::logic_error("candidate set must contain the source");
   GammaTable gamma(n, ws.k);
@@ -541,9 +414,9 @@ BubbleResult bubble_construct(const Net& net, const BufferLibrary& lib,
     }
     h.mix_double(net.wire.res_per_um);
     h.mix_double(net.wire.cap_per_um);
-    for (const double w : ws.widths()) h.mix_double(w);
+    for (const double w : ws.widths) h.mix_double(w);
     h.mix(ws.k);
-    for (const Point& pt : ws.pts) {
+    for (const Point& pt : cand.pts) {
       h.mix_i32(pt.x);
       h.mix_i32(pt.y);
     }
@@ -613,25 +486,13 @@ BubbleResult bubble_construct(const Net& net, const BufferLibrary& lib,
       for (std::size_t r = 0; r < n; ++r) {
         const GroupSpan span{1, e, r};
         if (!span.valid(n)) continue;
-        const std::size_t pos = span.member_positions().front();
-        const Sink& s = net.sinks[order[pos]];
+        const std::uint32_t sink = order[span.member_positions().front()];
         std::vector<SolutionCurve> anchor(ws.k);
         for (std::size_t p = 0; p < ws.k; ++p) {
-          const double len = static_cast<double>(manhattan(ws.pts[p], s.pos));
           SolutionCurve base;
-          for (const double width : ws.widths()) {
-            const WireModel wm = scaled_width(net.wire, width);
-            Solution sol;
-            sol.req_time = s.req_time - wm.elmore_delay(len, s.load);
-            sol.load = s.load + wm.wire_cap(len);
-            sol.wirelen = len;
-            sol.node = ws.arena.make_sink(
-                ws.pts[p], static_cast<std::int32_t>(order[pos]), width);
-            base.push(std::move(sol));
-            if (len == 0.0) break;
-          }
+          push_sink_wires(net, sink, cand.pts[p], ws.widths, ws.arena, base);
           for (const Solution& sol : base) anchor[p].push(sol);
-          push_buffered_options(ws.arena, base, ws.pts[p], lib, anchor[p],
+          push_buffered_options(ws.arena, base, cand.pts[p], lib, anchor[p],
                                 cfg.buffer_stride, cfg.obs);
           anchor[p].prune(cfg.group_prune);
         }
@@ -659,7 +520,7 @@ BubbleResult bubble_construct(const Net& net, const BufferLibrary& lib,
   //      provenance into the run arena, then write Gamma and the cache.
   // Without a pool the same three phases run inline on one lane.  Nothing a
   // later phase or layer sees depends on which lane ran which group.
-  std::vector<Terminal> seq;
+  std::vector<PTreeTerminal> seq;
   std::vector<GroupJob> jobs;
   std::vector<std::unique_ptr<Lane>> lanes;
   std::vector<SolNodeId> roots;
@@ -700,7 +561,7 @@ BubbleResult bubble_construct(const Net& net, const BufferLibrary& lib,
         job.key = cache_key;
         job.terms.clear();
         job.calls.clear();
-        const auto plan = [&](const std::vector<Terminal>& var,
+        const auto plan = [&](const std::vector<PTreeTerminal>& var,
                               std::span<const std::span<const SolutionCurve>> children) {
           plan_call(job, var, children, ws.k, cfg.guard, layer_calls);
         };
@@ -726,11 +587,11 @@ BubbleResult bubble_construct(const Net& net, const BufferLibrary& lib,
                   break;
                 }
               if (!any) continue;
-              const auto visit = [&](const std::vector<Terminal>& var) {
+              const auto visit = [&](const std::vector<PTreeTerminal>& var) {
                 plan(var, children);
               };
               if (cfg.enable_bubbling) {
-                std::vector<Terminal> cur = seq;
+                std::vector<PTreeTerminal> cur = seq;
                 enumerate_layer_sequences(seq, 0, cur, visit);
               } else {
                 visit(seq);

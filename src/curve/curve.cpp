@@ -369,8 +369,7 @@ void push_extended_options(SolutionArena& arena,
                            std::span<const Point> src_pts, Point to,
                            const WireModel& wire, const PruneConfig& cfg,
                            SolutionCurve& dst, std::span<const double> widths) {
-  static constexpr double kDefaultWidth[] = {1.0};
-  if (widths.empty()) widths = kDefaultWidth;
+  widths = wire_widths_or_default(widths);
 
   // One kernel bucket per (source curve, wire width) — a
   // zero-length source contributes a single identity bucket, whose

@@ -67,9 +67,9 @@ bool is_injected(const std::exception& e) {
 // BatchContext — warm pool + per-worker scratch, reused across runs.
 
 struct BatchContext::Impl {
-  // Same declaration order as run_jobs' per-run locals: sessions and arenas
-  // before the pool, so the pool's draining destructor (which may still run
-  // tasks referencing them) fires first during teardown.
+  // Sessions and arenas are declared before the pool, so the pool's
+  // draining destructor (which may still run tasks referencing them) fires
+  // first during teardown.
   SubproblemCache* cache = nullptr;
   std::vector<CacheSession> sessions;
   std::vector<SolutionArena> arenas;
@@ -171,43 +171,30 @@ BatchResult BatchRunner::run_jobs(const std::vector<CircuitNet>& jobs,
   if (ckt) realized.resize(ckt->gates.size());
 
   {
-    // Warm-context runs borrow the context's pool and per-worker scratch;
-    // context-free runs build their own below.  The lease makes concurrent
-    // runs on one context a hard error instead of a data race.
-    BatchContext::Impl* ctx =
-        opts_.context != nullptr ? opts_.context->impl_.get() : nullptr;
-    ContextLease lease(ctx);
-    const std::size_t n_threads =
-        ctx != nullptr ? ctx->pool.size() : resolve_threads(opts_.threads);
-    // Per-worker scratch; constructed before the pool so that if an
-    // exception unwinds this scope, the pool's draining destructor (which
-    // may still run tasks referencing the sessions/arenas) fires first.
-    // Each worker owns one CacheSession, one SolutionArena and (when the
-    // caller wants observability) one ObsSink: no provenance allocation,
-    // and no stats recording, is ever shared across threads.  The shared
-    // SubproblemCache (if any) is only ever *read* during the parallel
-    // phase — sessions stage writes privately and the publish happens
-    // serially below.
-    SubproblemCache* shared_cache =
-        ctx != nullptr
-            ? ctx->cache
-            : ((opts_.cache != nullptr && opts_.cache->enabled() &&
-                !cache_env_off())
-                   ? opts_.cache
-                   : nullptr);
-    std::vector<CacheSession> local_sessions;
-    std::vector<SolutionArena> local_arenas(ctx != nullptr ? 0 : n_threads);
-    if (ctx == nullptr) {
-      local_sessions.reserve(n_threads);
-      for (std::size_t w = 0; w < n_threads; ++w)
-        local_sessions.emplace_back(shared_cache);
-    }
-    std::vector<CacheSession>& sessions =
-        ctx != nullptr ? ctx->sessions : local_sessions;
-    std::vector<SolutionArena>& arenas =
-        ctx != nullptr ? ctx->arenas : local_arenas;
-    std::vector<FlushBatch> flushes(jobs.size());
+    // Worker sinks and cache flushes, declared before the context so that
+    // the pool's draining destructor (which may still run tasks referencing
+    // them) fires first if an exception unwinds this scope.
     std::vector<ObsSink> sinks;
+    std::vector<FlushBatch> flushes(jobs.size());
+    // Warm-context runs borrow the context's pool and per-worker scratch;
+    // a context-free run builds a fresh context of its own.  Each worker
+    // owns one CacheSession, one SolutionArena and (when the caller wants
+    // observability) one ObsSink: no provenance allocation, and no stats
+    // recording, is ever shared across threads.  The shared SubproblemCache
+    // (if any) is only ever *read* during the parallel phase — sessions
+    // stage writes privately and the publish happens serially below.  The
+    // lease makes concurrent runs on one context a hard error instead of a
+    // data race.
+    std::optional<BatchContext> local_ctx;
+    if (opts_.context == nullptr) local_ctx.emplace(opts_.threads, opts_.cache);
+    BatchContext::Impl& ctx =
+        *(opts_.context != nullptr ? *opts_.context : *local_ctx).impl_;
+    ContextLease lease(&ctx);
+    ThreadPool& pool = ctx.pool;
+    const std::size_t n_threads = pool.size();
+    SubproblemCache* shared_cache = ctx.cache;
+    std::vector<CacheSession>& sessions = ctx.sessions;
+    std::vector<SolutionArena>& arenas = ctx.arenas;
     if (kObsEnabled && opts_.obs != nullptr) {
       sinks.resize(n_threads);
       // Worker sinks hold every trace; the deterministic cap is applied
@@ -221,11 +208,8 @@ BatchResult BatchRunner::run_jobs(const std::vector<CircuitNet>& jobs,
         sinks[w].set_span_capacity(opts_.obs->span_capacity());
       }
     }
-    std::optional<ThreadPool> local_pool;
-    if (ctx == nullptr) local_pool.emplace(n_threads);
-    ThreadPool& pool = ctx != nullptr ? ctx->pool : *local_pool;
     const bool tracing = !sinks.empty() && opts_.obs->spans_armed();
-    if (tracing && ctx == nullptr) {
+    if (tracing && local_ctx) {
       // Bridge the pool's scheduling events onto the worker timelines.
       // Callbacks run on worker w's own thread and only touch sinks[w], so
       // they race with nothing; `sinks` outlives the pool by construction
@@ -647,24 +631,15 @@ bool flow_results_identical(const FlowResult& a, const FlowResult& b) {
 }
 
 bool batch_results_identical(const BatchResult& a, const BatchResult& b) {
-  if (a.nets.size() != b.nets.size()) return false;
+  if (!batch_results_equivalent(a, b)) return false;
   for (std::size_t i = 0; i < a.nets.size(); ++i) {
-    const BatchNetResult& x = a.nets[i];
-    const BatchNetResult& y = b.nets[i];
-    if (x.net_id != y.net_id || x.trivial != y.trivial ||
-        x.status != y.status || x.attempts != y.attempts ||
-        x.budget_trips != y.budget_trips || x.error != y.error ||
-        !flow_results_identical(x.result, y.result))
+    const FlowResult& x = a.nets[i].result;
+    const FlowResult& y = b.nets[i].result;
+    if (x.cache_hits != y.cache_hits || x.cache_misses != y.cache_misses)
       return false;
   }
-  // The deterministic substruct carries exactly the comparable fields, so
-  // its defaulted operator== is the whole stats comparison; wall times and
-  // scheduling facts are structurally excluded.
-  if (!(a.stats.det == b.stats.det)) return false;
-  const CircuitFlowResult &ca = a.circuit, &cb = b.circuit;
-  return ca.area == cb.area && ca.delay_ps == cb.delay_ps &&
-         ca.nets_routed == cb.nets_routed &&
-         ca.buffers_inserted == cb.buffers_inserted;
+  return a.stats.det.cache_hits == b.stats.det.cache_hits &&
+         a.stats.det.cache_misses == b.stats.det.cache_misses;
 }
 
 namespace {
@@ -743,6 +718,10 @@ bool batch_results_equivalent(const BatchResult& a, const BatchResult& b) {
         x.result.merlin_loops != y.result.merlin_loops)
       return false;
   }
+  // The deterministic substruct carries exactly the comparable fields, so
+  // its defaulted operator== is the whole stats comparison once the cache
+  // counters are blanked; wall times and scheduling facts are structurally
+  // excluded.
   BatchStatsDet da = a.stats.det, db = b.stats.det;
   da.cache_hits = db.cache_hits = 0;
   da.cache_misses = db.cache_misses = 0;

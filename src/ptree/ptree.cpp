@@ -7,29 +7,105 @@
 
 namespace merlin {
 
-namespace {
+void push_sink_wires(const Net& net, std::uint32_t sink, Point at,
+                     std::span<const double> widths, SolutionArena& arena,
+                     SolutionCurve& into) {
+  const Sink& s = net.sinks[sink];
+  const double len = static_cast<double>(manhattan(at, s.pos));
+  for (const double width : widths) {
+    const WireModel w = scaled_width(net.wire, width);
+    Solution sol;
+    sol.req_time = s.req_time - w.elmore_delay(len, s.load);
+    sol.load = s.load + w.wire_cap(len);
+    sol.wirelen = len;
+    sol.node = arena.make_sink(at, static_cast<std::int32_t>(sink), width);
+    into.push(std::move(sol));
+    if (len == 0.0) break;  // widths indistinguishable at zero length
+  }
+}
 
-// Dense (i, j, p) state storage over i <= j ranges.
-class StateTable {
- public:
-  StateTable(std::size_t n, std::size_t k) : n_(n), k_(k), cells_(n * (n + 1) / 2 * k) {}
+void ptree_range_dp(const Net& net, const CandidateSet& cand,
+                    std::span<const double> widths,
+                    std::span<const PTreeTerminal> seq,
+                    std::span<const std::span<const SolutionCurve>> children,
+                    const PruneConfig& prune, NetGuard* guard,
+                    SolutionArena& arena, PTreeScratch& scratch,
+                    std::vector<SolutionCurve>& routed) {
+  const std::size_t w = seq.size();
+  const std::size_t k = cand.pts.size();
+  const std::size_t need = w * (w + 1) / 2 * k;
+  if (scratch.cells.size() < need) scratch.cells.resize(need);
+  for (std::size_t c = 0; c < need; ++c) scratch.cells[c].clear();
+  // State (i, j, p), 0 <= i <= j < w: row i of the triangle starts at
+  // sum_{t<i} (w - t) = i*w - i(i-1)/2.
+  const auto at = [&](std::size_t i, std::size_t j, std::size_t p) -> SolutionCurve& {
+    return scratch.cells[(i * w - i * (i - 1) / 2 + (j - i)) * k + p];
+  };
 
-  SolutionCurve& at(std::size_t i, std::size_t j, std::size_t p) {
-    return cells_[range_index(i, j) * k_ + p];
+  // Base cases: a child row as given, a sink by a direct wire from each
+  // candidate.
+  for (std::size_t t = 0; t < w; ++t) {
+    if (seq[t].is_child) {
+      const auto& child_at = children[seq[t].child_slot];
+      for (std::size_t p = 0; p < k; ++p) at(t, t, p) = child_at[p];
+    } else {
+      for (std::size_t p = 0; p < k; ++p) {
+        SolutionCurve& cell = at(t, t, p);
+        push_sink_wires(net, seq[t].sink, cand.pts[p], widths, arena, cell);
+        cell.prune(prune);
+      }
+    }
   }
 
- private:
-  // Index of (i, j), 0 <= i <= j < n, in a triangular layout.
-  [[nodiscard]] std::size_t range_index(std::size_t i, std::size_t j) const {
-    // Offset of row i = sum_{t<i} (n - t) = i*n - i(i-1)/2.
-    return i * n_ - i * (i - 1) / 2 + (j - i);
+  // Ranges by increasing length: merges at each candidate, then the
+  // extension relaxation.
+  std::vector<MergeJob>& jobs = scratch.jobs;
+  std::vector<const SolutionCurve*>& srcs = scratch.srcs;
+  scratch.extended.resize(k);
+  for (std::size_t len = 2; len <= w; ++len) {
+    for (std::size_t i = 0; i + len <= w; ++i) {
+      const std::size_t j = i + len - 1;
+      // One DP step per (i, j) range, weighted by the candidate count the
+      // range sweeps — the unit the step budget is calibrated against.
+      guard_step(guard, k);
+      for (std::size_t p = 0; p < k; ++p) {
+        SolutionCurve& cell = at(i, j, p);
+        jobs.clear();
+        for (std::size_t u = i; u < j; ++u)
+          jobs.push_back(MergeJob{&at(i, u, p), &at(u + 1, j, p)});
+        // Fresh cell: push_merged_options output is already pruned with
+        // this config, so no re-prune is needed.
+        push_merged_options(arena, jobs, cand.pts[p], prune, cell);
+      }
+      // The relaxation reads the merge-only cells, so results are staged
+      // and committed after the sweep.
+      for (std::size_t p = 0; p < k; ++p) {
+        SolutionCurve& ext = scratch.extended[p];
+        ext.clear();
+        const std::vector<std::uint32_t>& from = cand.sources[p];
+        srcs.resize(from.size());
+        scratch.src_pts.resize(from.size());
+        for (std::size_t t = 0; t < from.size(); ++t) {
+          srcs[t] = &at(i, j, from[t]);
+          scratch.src_pts[t] = cand.pts[from[t]];
+        }
+        push_extended_options(arena, srcs, scratch.src_pts, cand.pts[p],
+                              net.wire, prune, ext, widths);
+      }
+      for (std::size_t p = 0; p < k; ++p) {
+        SolutionCurve& cell = at(i, j, p);
+        for (const Solution& s : scratch.extended[p]) cell.push(s);
+        cell.prune(prune);
+      }
+    }
   }
 
-  std::size_t n_, k_;
-  std::vector<SolutionCurve> cells_;
-};
-
-}  // namespace
+  routed.resize(k);
+  for (std::size_t p = 0; p < k; ++p) {
+    routed[p].clear();
+    for (const Solution& s : at(0, w - 1, p)) routed[p].push(s);
+  }
+}
 
 PTreeResult ptree_route(const Net& net, const Order& order,
                         const PTreeConfig& cfg_in, SolutionArena* arena_opt) {
@@ -47,82 +123,28 @@ PTreeResult ptree_route(const Net& net, const Order& order,
   if (order.size() != n || !Order(order).valid())
     throw std::invalid_argument("ptree_route: order is not a permutation of the sinks");
 
-  const std::vector<Point> terms = net.terminals();
-  std::vector<Point> pts = candidate_locations(terms, cfg.candidates);
-  const std::size_t k = pts.size();
+  CandidateSet cand{candidate_locations(net.terminals(), cfg.candidates), {}};
+  const std::size_t k = cand.pts.size();
   std::size_t source_p = k;
   for (std::size_t p = 0; p < k; ++p)
-    if (pts[p] == net.source) source_p = p;
+    if (cand.pts[p] == net.source) source_p = p;
   if (source_p == k)
     throw std::logic_error("candidate_locations must include the source");
+  // Extensions into p start from every other candidate, in index order.
+  cand.sources.resize(k);
+  for (std::uint32_t p = 0; p < k; ++p)
+    for (std::uint32_t p2 = 0; p2 < k; ++p2)
+      if (p2 != p) cand.sources[p].push_back(p2);
 
-  StateTable table(n, k);
-
-  // Base cases: single sinks reached by a direct wire from each candidate,
-  // one option per wire width.
-  static constexpr double kDefaultWidth[] = {1.0};
-  std::span<const double> widths = cfg.wire_widths.empty()
-                                       ? std::span<const double>(kDefaultWidth)
-                                       : std::span<const double>(cfg.wire_widths);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Sink& s = net.sinks[order[i]];
-    for (std::size_t p = 0; p < k; ++p) {
-      SolutionCurve& cell = table.at(i, i, p);
-      const double len = static_cast<double>(manhattan(pts[p], s.pos));
-      for (const double width : widths) {
-        const WireModel w = scaled_width(net.wire, width);
-        Solution sol;
-        sol.req_time = s.req_time - w.elmore_delay(len, s.load);
-        sol.load = s.load + w.wire_cap(len);
-        sol.area = 0.0;
-        sol.wirelen = len;
-        sol.node =
-            arena.make_sink(pts[p], static_cast<std::int32_t>(order[i]), width);
-        cell.push(std::move(sol));
-        if (len == 0.0) break;  // widths indistinguishable at zero length
-      }
-      cell.prune(cfg.prune);
-    }
-  }
-
-  // Ranges by increasing length: merge splits at each candidate, then one
-  // wire-extension relaxation across candidates (a single pass suffices:
-  // under Elmore, a direct minimum-length wire dominates any same-endpoints
-  // multi-hop chain).
-  std::vector<MergeJob> jobs;
-  std::vector<const SolutionCurve*> srcs(k);
-  for (std::size_t len = 2; len <= n; ++len) {
-    for (std::size_t i = 0; i + len <= n; ++i) {
-      const std::size_t j = i + len - 1;
-      // One DP step per (i, j) range, weighted by the candidate count the
-      // range sweeps — the unit the step budget is calibrated against.
-      guard_step(cfg.guard, k);
-      for (std::size_t p = 0; p < k; ++p) {
-        SolutionCurve& cell = table.at(i, j, p);
-        jobs.clear();
-        for (std::size_t u = i; u < j; ++u)
-          jobs.push_back(MergeJob{&table.at(i, u, p), &table.at(u + 1, j, p)});
-        // Fresh cell: push_merged_options output is already pruned with
-        // cfg.prune, so no re-prune is needed.
-        push_merged_options(arena, jobs, pts[p], cfg.prune, cell);
-      }
-      std::vector<SolutionCurve> extended(k);
-      for (std::size_t p = 0; p < k; ++p) {
-        for (std::size_t p2 = 0; p2 < k; ++p2)
-          srcs[p2] = p2 == p ? nullptr : &table.at(i, j, p2);
-        push_extended_options(arena, srcs, pts, pts[p], net.wire, cfg.prune,
-                              extended[p], widths);
-      }
-      for (std::size_t p = 0; p < k; ++p) {
-        SolutionCurve& cell = table.at(i, j, p);
-        for (const Solution& s : extended[p]) cell.push(s);
-        cell.prune(cfg.prune);
-      }
-    }
-  }
+  std::vector<PTreeTerminal> seq(n);
+  for (std::size_t i = 0; i < n; ++i) seq[i].sink = order[i];
+  PTreeScratch scratch;
+  std::vector<SolutionCurve> routed;
+  ptree_range_dp(net, cand, wire_widths_or_default(cfg.wire_widths), seq, {},
+                 cfg.prune, cfg.guard, arena, scratch, routed);
 
   PTreeResult result;
-  result.root_curve = table.at(0, n - 1, source_p);
+  result.root_curve = std::move(routed[source_p]);
   // Pick the solution with the best required time at the driver input.
   const Solution* best = nullptr;
   double best_q = 0.0;

@@ -15,6 +15,7 @@
 // route bends, because only the length enters.
 
 #include <cstdint>
+#include <span>
 
 namespace merlin {
 
@@ -53,6 +54,14 @@ struct WireModel {
 constexpr WireModel scaled_width(const WireModel& base, double width) {
   return WireModel{base.res_per_um / width,
                    base.cap_per_um * (0.55 + 0.45 * width)};
+}
+
+/// The width multipliers a wire-sizing DP tries: `widths`, or the default
+/// 1x width alone when it is empty (the non-wire-sized problem).
+inline std::span<const double> wire_widths_or_default(
+    std::span<const double> widths) {
+  static constexpr double kDefaultWidth[] = {1.0};
+  return widths.empty() ? std::span<const double>(kDefaultWidth) : widths;
 }
 
 }  // namespace merlin

@@ -86,10 +86,8 @@ VanGinnekenResult vangin_insert(const Net& net, const RoutingTree& unbuffered,
             const auto nseg = static_cast<std::int64_t>(std::max<double>(
                 1.0, std::ceil(static_cast<double>(len) / cfg.max_segment_um)));
             Point prev = nodes[c].at;
-            static constexpr double kDefaultWidth[] = {1.0};
             const std::span<const double> widths =
-                cfg.wire_widths.empty() ? std::span<const double>(kDefaultWidth)
-                                        : std::span<const double>(cfg.wire_widths);
+                wire_widths_or_default(cfg.wire_widths);
             for (std::int64_t i = 1; i <= nseg; ++i) {
               const Point st = i == nseg
                                    ? n.at

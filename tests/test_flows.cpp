@@ -4,11 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 
 #include "buflib/library.h"
+#include "flow/batch.h"
+#include "flow/circuit.h"
 #include "flow/flows.h"
+#include "geom/hanan.h"
 #include "net/generator.h"
+#include "order/tsp.h"
+#include "ptree/ptree.h"
+#include "runtime/guard.h"
 #include "tree/validate.h"
 
 namespace merlin {
@@ -136,6 +143,60 @@ TEST(Flows, ScaledConfigTiersAreOrdered) {
   EXPECT_GE(small.merlin.bubble.alpha, large.merlin.bubble.alpha);
   EXPECT_GE(small.merlin.bubble.group_prune.max_solutions,
             large.merlin.bubble.group_prune.max_solutions);
+}
+
+// Flow I/II bit-identity: the digest of a 26-gate circuit batch, built
+// the way `merlin_cli --circuit 26 SEED --flow F [--net-step-budget B]`
+// builds it, at 1 and 4 threads.  The step-budgeted rows pin where PTREE
+// charges its steps as well as what it returns: a budget that trips at a
+// different point degrades different nets.
+struct FlowDigestCase {
+  FlowKind flow;
+  std::uint64_t seed;
+  std::uint64_t step_budget;  ///< 0 = unlimited
+  std::uint64_t digest;
+};
+
+TEST(FlowDigests, CircuitBatchDigestsArePinned) {
+  const BufferLibrary lib = make_standard_library();
+  const FlowDigestCase cases[] = {
+      {FlowKind::kFlow1, 7, 0, 0xc251df8eee800781ull},
+      {FlowKind::kFlow1, 9, 0, 0x675e03fa0a0a772cull},
+      {FlowKind::kFlow2, 7, 0, 0x57f955557b8ee956ull},
+      {FlowKind::kFlow2, 9, 0, 0xb9692dbf7af7e31eull},
+      {FlowKind::kFlow1, 7, 50, 0x122e3ba9c5f3c917ull},
+      {FlowKind::kFlow2, 7, 50, 0x6ff2c1c06e8e5a86ull},
+      {FlowKind::kFlow2, 7, 200, 0x6f2b5b606f1b552bull},
+  };
+  for (const FlowDigestCase& c : cases) {
+    CircuitSpec spec;
+    spec.name = "ckt26";
+    spec.n_gates = 26;
+    spec.seed = c.seed;
+    const Circuit ckt = make_random_circuit(spec, lib);
+    for (const std::size_t threads : {1u, 4u}) {
+      BatchOptions opts;
+      opts.flow = c.flow;
+      opts.threads = threads;
+      opts.guard.step_budget = c.step_budget;
+      EXPECT_EQ(batch_result_digest(BatchRunner(lib, opts).run(ckt)), c.digest)
+          << "flow " << static_cast<int>(c.flow) << " seed " << c.seed
+          << " budget " << c.step_budget << " threads " << threads;
+    }
+  }
+}
+
+TEST(FlowDigests, PtreeChargesOneStepPerCandidateAndRange) {
+  // ptree_route charges k steps per (i, j) order range of length >= 2.
+  const Net net = test_net(7, 4);
+  const PTreeConfig base;
+  NetGuard guard(0, GuardConfig{});
+  PTreeConfig cfg = base;
+  cfg.guard = &guard;
+  (void)ptree_route(net, tsp_order(net), cfg);
+  const std::size_t k = candidate_locations(net.terminals(), base.candidates).size();
+  const std::size_t n = net.fanout();
+  EXPECT_EQ(guard.steps(), k * n * (n - 1) / 2);
 }
 
 }  // namespace
