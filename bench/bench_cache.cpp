@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
   spec.max_fanout = 7;
   spec.seed = 71;
   const Circuit ckt = make_random_circuit(spec, lib);
-  const CacheConfig cache_cfg{1u << 22, 8};  // ~200 MB ceiling, never hit
+  const CacheConfig cache_cfg{1u << 22};  // 128 MB ceiling, never hit
   constexpr int kReps = 3;
 
   // off: no shared store.

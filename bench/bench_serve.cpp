@@ -359,7 +359,8 @@ int main(int argc, char** argv) {
         << (recovery_digest_identical ? "true" : "false") << ",\n";
     for (std::size_t i = 0; i < sweep.size(); ++i) {
       const SweepPoint& pt = sweep[i];
-      const std::string k = "c" + std::to_string(pt.clients);
+      std::string k = "c";  // not "c" + ...: GCC 12 -O3 raises a false -Wrestrict
+      k += std::to_string(pt.clients);
       out << "  \"" << k << "_p50_ms\": " << pt.p50_ms << ",\n"
           << "  \"" << k << "_p90_ms\": " << pt.p90_ms << ",\n"
           << "  \"" << k << "_p99_ms\": " << pt.p99_ms << ",\n"

@@ -2,23 +2,19 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
 #include <utility>
 
 namespace merlin {
 
-SubproblemCache::SubproblemCache(CacheConfig cfg) : cfg_(cfg) {
-  if (cfg_.shards == 0) cfg_.shards = 1;
-  shards_ = std::vector<Shard>(cfg_.shards);
-  shard_budget_ = cfg_.capacity_nodes / cfg_.shards;
-}
+SubproblemCache::SubproblemCache(CacheConfig cfg) : cfg_(cfg) {}
 
 bool SubproblemCache::lookup(const CacheKey& key, CacheEntry& out) const {
   if (!enabled()) return false;
-  Shard& sh = shard_for(key);
-  std::lock_guard<std::mutex> lock(sh.mu);
-  const auto it = sh.map.find(key);
-  if (it == sh.map.end()) return false;
-  out = sh.store.get(it->second.id);  // deep copy under the shard lock
+  std::shared_lock lock(mu_);
+  const auto it = map_.find(key);
+  if (it == map_.end()) return false;
+  out = store_.get(it->second.id);  // deep copy under the shared lock
   return true;
 }
 
@@ -26,46 +22,40 @@ CacheApplyOutcome SubproblemCache::apply(FlushBatch&& batch) {
   CacheApplyOutcome oc;
   oc.staged = batch.staged.size();
   if (!enabled()) return oc;
+  std::unique_lock lock(mu_);
 
-  const auto refresh = [](Shard& sh, const CacheKey& key) {
-    const auto it = sh.map.find(key);
-    if (it == sh.map.end()) return false;
-    sh.lru.splice(sh.lru.begin(), sh.lru, it->second.lru_it);
+  const auto refresh = [this](const CacheKey& key) {
+    const auto it = map_.find(key);
+    if (it == map_.end()) return false;
+    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
     return true;
   };
 
   // Touch refreshes first: a net that *used* an entry outranks the entries
   // it merely produced, so hot shared sub-problems survive eviction.
-  for (const CacheKey& key : batch.touched) {
-    Shard& sh = shard_for(key);
-    std::lock_guard<std::mutex> lock(sh.mu);
-    refresh(sh, key);
-  }
+  for (const CacheKey& key : batch.touched) refresh(key);
 
   for (CacheEntry& entry : batch.staged) {
     const CacheKey key = entry.key;
-    Shard& sh = shard_for(key);
-    std::lock_guard<std::mutex> lock(sh.mu);
-    if (refresh(sh, key)) {  // an earlier net already published this key
+    if (refresh(key)) {  // an earlier net already published this key
       ++oc.duplicates;
       continue;
     }
-    if (entry.node_cost() > shard_budget_) {  // can never fit
+    if (entry.node_cost() > cfg_.capacity_nodes) {  // can never fit
       ++oc.rejected;
       continue;
     }
-    sh.lru.push_front(key);
+    lru_.push_front(key);
     Slot slot;
-    slot.id = sh.store.put(std::move(entry));
-    slot.lru_it = sh.lru.begin();
-    sh.map.emplace(key, slot);
+    slot.id = store_.put(std::move(entry));
+    slot.lru_it = lru_.begin();
+    map_.emplace(key, slot);
     ++oc.inserted;
-    while (sh.store.node_cost() > shard_budget_) {
-      const CacheKey victim = sh.lru.back();
-      sh.lru.pop_back();
-      const auto vit = sh.map.find(victim);
-      sh.store.erase(vit->second.id);
-      sh.map.erase(vit);
+    while (store_.node_cost() > cfg_.capacity_nodes) {
+      const auto vit = map_.find(lru_.back());
+      lru_.pop_back();
+      store_.erase(vit->second.id);
+      map_.erase(vit);
       ++oc.evicted;
     }
   }
@@ -73,42 +63,29 @@ CacheApplyOutcome SubproblemCache::apply(FlushBatch&& batch) {
 }
 
 std::size_t SubproblemCache::entry_count() const {
-  std::size_t n = 0;
-  for (Shard& sh : shards_) {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    n += sh.store.entry_count();
-  }
-  return n;
+  std::shared_lock lock(mu_);
+  return store_.entry_count();
 }
 
 std::uint64_t SubproblemCache::node_cost() const {
-  std::uint64_t n = 0;
-  for (Shard& sh : shards_) {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    n += sh.store.node_cost();
-  }
-  return n;
+  std::shared_lock lock(mu_);
+  return store_.node_cost();
 }
 
 void SubproblemCache::for_each_entry_oldest_first(
-    const std::function<void(std::size_t, const CacheEntry&)>& fn) const {
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard& sh = shards_[i];
-    std::lock_guard<std::mutex> lock(sh.mu);
-    // lru front = most recent; walk back-to-front so the oldest entry is
-    // reported (and later re-inserted) first.
-    for (auto it = sh.lru.rbegin(); it != sh.lru.rend(); ++it)
-      fn(i, sh.store.get(sh.map.at(*it).id));
-  }
+    const std::function<void(const CacheEntry&)>& fn) const {
+  std::shared_lock lock(mu_);
+  // lru front = most recent; walk back-to-front so the oldest entry is
+  // reported (and later re-inserted) first.
+  for (auto it = lru_.rbegin(); it != lru_.rend(); ++it)
+    fn(store_.get(map_.at(*it).id));
 }
 
 void SubproblemCache::clear() {
-  for (Shard& sh : shards_) {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    sh.map.clear();
-    sh.store.clear();
-    sh.lru.clear();
-  }
+  std::unique_lock lock(mu_);
+  map_.clear();
+  store_.clear();
+  lru_.clear();
 }
 
 bool cache_env_off() {

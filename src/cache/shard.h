@@ -16,8 +16,10 @@
 // Determinism contract (the batch engine's bit-identity invariant):
 //
 //   * During a parallel phase the shared store is READ-ONLY.  Sessions copy
-//     entries out under a shard lock on first use (adoption) and record the
-//     key in a touch log; they never mutate shared state.
+//     entries out under the store's shared lock on first use (adoption) and
+//     record the key in a touch log; they never mutate shared state.  One
+//     store, one lock: lookups take it shared, so concurrent deep copies do
+//     not serialize; apply() and clear() take it exclusive.
 //   * All writes — LRU refreshes from the touch logs, staged inserts,
 //     evictions — happen in SubproblemCache::apply(FlushBatch), which the
 //     batch runner calls serially in ascending net id after the pool
@@ -26,7 +28,7 @@
 //     victims) is therefore a pure function of the workload, identical at
 //     any thread count.
 //   * Eviction is cost-aware LRU, budgeted in provenance nodes
-//     (CacheConfig::capacity_nodes) and applied per shard during flush.
+//     (CacheConfig::capacity_nodes) and applied during flush.
 //
 // Capacity 0 disables the shared store entirely: every lookup misses and
 // apply() drops its batch, reducing behavior to per-worker scratch caching
@@ -36,7 +38,7 @@
 #include <cstdint>
 #include <functional>
 #include <list>
-#include <mutex>
+#include <shared_mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -48,12 +50,9 @@ namespace merlin {
 
 /// cache-entry: CacheConfig
 struct CacheConfig {
-  /// Total provenance-node budget across all shards (one node is one
-  /// SolNode, ~48 bytes).  0 = shared store disabled.
+  /// Provenance-node budget of the store (one node is one SolNode,
+  /// ~32 bytes).  0 = shared store disabled.
   std::uint64_t capacity_nodes = 0;
-  /// Shard count (each shard has its own mutex, map, CurveStore and LRU
-  /// list; a key's shard is a pure function of its hash).  Clamped >= 1.
-  std::size_t shards = 8;
 };
 
 /// cache-entry: FlushBatch
@@ -73,7 +72,7 @@ struct CacheApplyOutcome {
   std::uint64_t inserted = 0;    ///< entries actually published
   std::uint64_t duplicates = 0;  ///< offered keys already present (refreshed)
   std::uint64_t evicted = 0;     ///< LRU victims removed to hold the budget
-  std::uint64_t rejected = 0;    ///< entries larger than a whole shard budget
+  std::uint64_t rejected = 0;    ///< entries larger than the whole budget
 };
 
 /// cache-entry: SubproblemCache
@@ -94,23 +93,22 @@ class SubproblemCache {
 
   /// Write side: applies one net's staged writes — touch refreshes first
   /// (in log order), then inserts (in insertion order, duplicates refresh
-  /// instead), evicting LRU tails whenever a shard exceeds its budget.
+  /// instead), evicting LRU tails whenever the store exceeds its budget.
   /// The batch runner calls this serially in ascending net id.
   CacheApplyOutcome apply(FlushBatch&& batch);
 
   [[nodiscard]] std::size_t entry_count() const;
   [[nodiscard]] std::uint64_t node_cost() const;
 
-  /// Deterministic enumeration for cache/snapshot.h: `fn(shard, entry)` for
-  /// every entry — shards in index order, each shard's entries in LRU order
-  /// oldest first — each shard walked under its own lock.  Re-inserting the
-  /// entries in callback order through apply() reproduces the exact
+  /// Deterministic enumeration for cache/snapshot.h: `fn(entry)` for every
+  /// entry in LRU order, oldest first, under the shared lock.  Re-inserting
+  /// the entries in callback order through apply() reproduces the exact
   /// content AND recency order, which is what makes a snapshot roundtrip
   /// bit-identical.
   void for_each_entry_oldest_first(
-      const std::function<void(std::size_t, const CacheEntry&)>& fn) const;
+      const std::function<void(const CacheEntry&)>& fn) const;
 
-  /// Drops every entry in every shard (capacity budget unchanged).
+  /// Drops every entry (capacity budget unchanged).
   void clear();
 
  private:
@@ -118,20 +116,11 @@ class SubproblemCache {
     EntryId id = kNullEntry;
     std::list<CacheKey>::iterator lru_it;
   };
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<CacheKey, Slot, CacheKeyHash> map;
-    CurveStore store;
-    std::list<CacheKey> lru;  ///< front = most recently used
-  };
-
-  [[nodiscard]] Shard& shard_for(const CacheKey& key) const {
-    return shards_[key.hi % shards_.size()];
-  }
-
   CacheConfig cfg_;
-  std::uint64_t shard_budget_ = 0;  ///< capacity_nodes / shard count
-  mutable std::vector<Shard> shards_;
+  mutable std::shared_mutex mu_;
+  std::unordered_map<CacheKey, Slot, CacheKeyHash> map_;
+  CurveStore store_;
+  std::list<CacheKey> lru_;  ///< front = most recently used
 };
 
 /// cache-entry: cache_env_off

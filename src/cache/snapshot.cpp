@@ -237,36 +237,29 @@ bool save_cache_snapshot(const SubproblemCache& cache, const std::string& path,
     return false;
   };
 
-  const std::size_t shard_count = cache.config().shards == 0
-                                      ? 1
-                                      : cache.config().shards;
-  std::vector<std::string> shard_payloads(shard_count);
-  std::vector<std::uint64_t> shard_entries(shard_count, 0);
+  std::string entries;
   SnapshotStats st;
-  cache.for_each_entry_oldest_first(
-      [&](std::size_t shard, const CacheEntry& e) {
-        encode_entry(shard_payloads[shard], e);
-        ++shard_entries[shard];
-        ++st.entries;
-        st.nodes += e.nodes.size();
-      });
+  cache.for_each_entry_oldest_first([&](const CacheEntry& e) {
+    encode_entry(entries, e);
+    ++st.entries;
+    st.nodes += e.nodes.size();
+  });
 
   std::string meta;
   put_u64(meta, cache.config().capacity_nodes);
-  put_u64(meta, shard_count);
+  put_u64(meta, 1);  // entry sections that follow
   put_u64(meta, st.entries);
   put_u64(meta, st.nodes);
+
+  std::string payload;
+  put_u64(payload, st.entries);
+  payload += entries;
 
   std::string file;
   put_u32(file, kSnapshotMagic);
   put_u32(file, kSnapshotVersion);
   append_section(file, kSectionMeta, meta);
-  for (std::size_t i = 0; i < shard_count; ++i) {
-    std::string payload;
-    put_u64(payload, shard_entries[i]);
-    payload += shard_payloads[i];
-    append_section(file, kSectionShard, payload);
-  }
+  append_section(file, kSectionShard, payload);
   append_section(file, kSectionEnd, {});
   st.bytes = file.size();
 
@@ -395,7 +388,7 @@ SnapshotLoadResult load_cache_snapshot(SubproblemCache& cache,
                          "duplicate meta section");
       ByteReader r(payload);
       (void)r.u64();  // saved capacity — informational; ours governs
-      (void)r.u64();  // saved shard count — keys re-shard on restore
+      (void)r.u64();  // saved entry-section count (older files: one per shard)
       declared_entries = r.u64();
       (void)r.u64();  // saved node total
       if (!r.exhausted())

@@ -1,8 +1,8 @@
 #pragma once
 // Crash-safe persistence for the shared SubproblemCache.
 //
-// A snapshot is the daemon's warm state on disk: every CacheEntry of every
-// shard (cache/store.h — already arena-decoupled, so serialization is a
+// A snapshot is the daemon's warm state on disk: every CacheEntry of the
+// store (cache/store.h — already arena-decoupled, so serialization is a
 // plain field walk), in deterministic LRU order, wrapped in a checksummed,
 // versioned container.  merlin_d saves one on drain, on a background
 // cadence, and on the req.snapshot admin frame; on start it loads the file
@@ -15,6 +15,9 @@
 //   u32 version    kSnapshotVersion
 //   sections, each:
 //     u32 tag      kSectionMeta | kSectionShard | kSectionEnd
+//                  (save writes one meta, one entry section, one end; the
+//                  loader accepts any number of entry sections, as older
+//                  files hold one per former cache shard)
 //     u64 length   payload bytes that follow the crc
 //     u32 crc      CRC-32 (IEEE, reflected) of the payload
 //     payload
@@ -92,20 +95,20 @@ struct SnapshotLoadResult {
 };
 
 /// cache-entry: save_cache_snapshot
-/// Serializes every entry of `cache` (shards in index order, entries oldest
-/// first) into an atomically-replaced snapshot at `path`.  Returns false
-/// with `error` filled on any I/O failure; the previous snapshot (if any)
-/// survives every failure mode.  Safe to call concurrently with lookups
-/// and applies — each shard is walked under its own lock.
+/// Serializes every entry of `cache` (oldest first) into an
+/// atomically-replaced snapshot at `path`.  Returns false with `error`
+/// filled on any I/O failure; the previous snapshot (if any) survives
+/// every failure mode.  Safe to call concurrently with lookups and
+/// applies — the store is walked under its shared lock.
 bool save_cache_snapshot(const SubproblemCache& cache, const std::string& path,
                          SnapshotStats* stats = nullptr,
                          std::string* error = nullptr);
 
 /// cache-entry: load_cache_snapshot
 /// Verifies and restores the snapshot at `path` into `cache` (which is
-/// cleared first).  Entries re-shard and re-enter LRU order as saved, and
-/// the cache's own budget still governs — a snapshot larger than the
-/// configured capacity restores to a truncated (most-recent) working set.
+/// cleared first).  Entries re-enter LRU order as saved, and the cache's
+/// own budget still governs — a snapshot larger than the configured
+/// capacity restores to a truncated (most-recent) working set.
 /// Never throws: any corruption, truncation or version skew reports via
 /// the returned status and leaves the cache cold.  Also removes a stale
 /// `path + ".tmp"` left by a save that died mid-write.

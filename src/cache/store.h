@@ -1,16 +1,13 @@
 #pragma once
 // Arena-decoupled storage for cached sub-problem curves.
 //
-// The old GammaCache stored SolutionCurves whose provenance handles pointed
-// into the run's SolutionArena — so entries died with the run, and every
-// mark_compact had to remap the whole cache.  A CacheEntry instead copies
-// one Gamma group's survivor curves out of the arena into a self-contained
-// blob: the solution points (metrics plus a node index *local to the
-// entry*) and the reachable provenance sub-DAG, re-indexed 0..N-1 in
-// child-before-parent order.  Entries therefore outlive any single
-// bubble_construct run, survive arena compaction untouched, and can be
-// materialized back into *any* arena later (intern_entry / the inverse
-// materialize_entry below).
+// A CacheEntry copies one Gamma group's survivor curves out of the run's
+// SolutionArena into a self-contained blob: the solution points (metrics
+// plus a node index *local to the entry*) and the reachable provenance
+// sub-DAG, re-indexed 0..N-1 in child-before-parent order.  Entries
+// therefore outlive any single bubble_construct run and any arena reset,
+// and can be materialized back into *any* arena later (intern_entry / the
+// inverse materialize_entry below).
 //
 // The CurveStore keeps entries in a std::deque — slab-backed, so grown
 // slots never move — addressed by stable 32-bit EntryIds with a free list

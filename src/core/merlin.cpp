@@ -42,14 +42,16 @@ MerlinResult merlin_optimize(const Net& net, const BufferLibrary& lib,
     cache_ptr->clear();
   }
   // Provenance storage: the scratch arena is reset (capacity kept) and one
-  // arena then backs every iteration.  Cache entries are arena-independent
-  // copies, so the cache puts no constraint on the arena's lifetime.
+  // arena then backs every iteration.  Only each layer's committed
+  // survivors reach it, so it simply keeps every iteration's nodes — the
+  // best result's handles among them — until the next run resets it.
+  // Cache entries are arena-independent copies, so the cache puts no
+  // constraint on the arena's lifetime.
   SolutionArena local_arena;
   SolutionArena& arena = cfg.scratch_arena ? *cfg.scratch_arena : local_arena;
   arena.reset();
 
   bool have_best = false;
-  std::vector<SolNodeId> live_roots;
   while (res.iterations < cfg.max_iterations) {
     if (!seen.insert(pi.sequence()).second) {
       res.converged = true;
@@ -79,30 +81,6 @@ MerlinResult merlin_optimize(const Net& net, const BufferLibrary& lib,
       break;
     }
     pi = next;
-
-    // Another neighborhood will be searched: squeeze the dead sub-DAGs of
-    // this iteration out of the arena.  Live are only the best result's own
-    // handles — cached sub-problems are arena-independent copies inside the
-    // CacheSession, so (unlike the old arena-coupled GammaCache) they
-    // neither pin arena nodes nor need remapping.  Everything else — the
-    // losing candidates of the iteration — is reclaimed.  Remapping never
-    // changes replayed structure, so results are unaffected (the arena
-    // tests pin this down).
-    // The compact span closes with the iteration scope, after the remaps
-    // below — exactly the window the compaction counters cover.
-    TraceSpan compact_span(cfg.bubble.obs, SpanName::kMerlinCompact);
-    live_roots.clear();
-    res.best.root_curve.collect_roots(live_roots);
-    if (res.best.chosen.node != kNullSol)
-      live_roots.push_back(res.best.chosen.node);
-    const std::size_t live_before = arena.stats().live_nodes;
-    const std::vector<SolNodeId> remap = arena.mark_compact(live_roots);
-    obs_add(cfg.bubble.obs, Counter::kArenaCompactions);
-    obs_add(cfg.bubble.obs, Counter::kArenaNodesCompacted,
-            live_before - arena.stats().live_nodes);
-    res.best.root_curve.remap_nodes(remap);
-    if (res.best.chosen.node != kNullSol)
-      res.best.chosen.node = remap[res.best.chosen.node];
   }
   if (!have_best)
     throw std::logic_error("merlin_optimize: no iterations performed");

@@ -40,11 +40,13 @@ struct MerlinConfig {
 
   /// Optional externally owned scratch arena for all provenance of the run.
   /// When set, merlin_optimize resets it at the start (slab capacity kept —
-  /// the allocation-reuse analogue of cache_session) and the returned
-  /// best.root_curve / best.chosen handles stay resolvable in it until the
-  /// caller resets it.  When null a run-local arena is used and those
-  /// handles dangle after return.  Same single-thread ownership rule as
-  /// cache_session; the batch engine keeps one per pool worker.
+  /// the allocation-reuse analogue of cache_session), every iteration's
+  /// committed survivors accumulate in it (nothing is collected between
+  /// iterations), and the returned best.root_curve / best.chosen handles
+  /// stay resolvable in it until the caller resets it.  When null a
+  /// run-local arena is used and those handles dangle after return.  Same
+  /// single-thread ownership rule as cache_session; the batch engine keeps
+  /// one per pool worker.
   SolutionArena* scratch_arena = nullptr;
 };
 

@@ -91,54 +91,6 @@ SolutionArena& SolutionArena::overlay(std::size_t lane) {
   return *overlays_[lane];
 }
 
-std::vector<SolNodeId> SolutionArena::mark_compact(
-    std::span<const SolNodeId> roots) {
-  if (first_ != 0)
-    throw std::logic_error("SolutionArena::mark_compact: arena is an overlay");
-  // Mark: iterative DFS over the live sub-DAG.
-  std::vector<char> live(size_, 0);
-  std::vector<SolNodeId> stack;
-  for (SolNodeId r : roots) {
-    if (r == kNullSol) continue;
-    if (r >= size_)
-      throw std::invalid_argument("SolutionArena::mark_compact: root " +
-                                  std::to_string(r) + " out of range");
-    if (!live[r]) {
-      live[r] = 1;
-      stack.push_back(r);
-    }
-    while (!stack.empty()) {
-      const SolNode& n = (*this)[stack.back()];
-      stack.pop_back();
-      for (SolNodeId c : {n.a, n.b}) {
-        if (c != kNullSol && !live[c]) {
-          live[c] = 1;
-          stack.push_back(c);
-        }
-      }
-    }
-  }
-
-  // Sweep: slide survivors down in ascending old-id order.  A node's
-  // children always carry smaller ids than the node itself (they must exist
-  // before make_* links them), so remap[child] is final by the time the
-  // parent is moved — one forward pass rewrites the child links in place.
-  std::vector<SolNodeId> remap(size_, kNullSol);
-  std::size_t next = 0;
-  for (std::size_t old = 0; old < size_; ++old) {
-    if (!live[old]) continue;
-    const SolNodeId to = static_cast<SolNodeId>(next++);
-    remap[old] = to;
-    SolNode n = (*this)[static_cast<SolNodeId>(old)];
-    if (n.a != kNullSol) n.a = remap[n.a];
-    if (n.b != kNullSol) n.b = remap[n.b];
-    slot(to) = n;
-  }
-  size_ = next;
-  ++stats_.compactions;
-  return remap;
-}
-
 SolutionArena::Stats SolutionArena::stats() const {
   Stats s = stats_;
   s.live_nodes = size_;

@@ -11,9 +11,10 @@
 //     handed out by operator[] stay valid across further allocation);
 //   * a handle is a dense 32-bit index (SolNodeId) — half the size of a
 //     pointer, trivially relocatable and serializable;
-//   * freeing is wholesale: reset() between independent DP invocations, or
-//     mark_compact() to squeeze dead sub-DAGs out while the best result's
-//     curves stay alive across neighborhood-search iterations.
+//   * freeing is wholesale: reset() between independent DP invocations.
+//     One run arena holds every MERLIN iteration's committed survivors
+//     until the next net resets it (only survivors reach it, so the dead
+//     share is small and is never collected).
 //
 // Ownership rules (see docs/ARCHITECTURE.md):
 //   * one arena per DP invocation — engines that take an optional arena use
@@ -50,12 +51,11 @@ class SolutionArena {
 
   struct Stats {
     std::uint64_t nodes_allocated = 0;  ///< lifetime total (across resets)
-    std::size_t live_nodes = 0;         ///< nodes since the last reset/compact
+    std::size_t live_nodes = 0;         ///< nodes since the last reset
     std::size_t peak_nodes = 0;         ///< high-water mark of live_nodes
     std::size_t reserved_bytes = 0;     ///< slab memory currently held
     std::size_t peak_bytes = 0;         ///< peak_nodes * sizeof(SolNode)
     std::uint64_t resets = 0;
-    std::uint64_t compactions = 0;
   };
 
   SolutionArena() = default;
@@ -126,9 +126,9 @@ class SolutionArena {
   /// unchanged.  This arena may have grown past overlay.first_id() since
   /// the overlay was reset (earlier imports), so only the caller knows
   /// which of its handles are overlay handles; it remaps exactly those
-  /// (SolutionCurve::remap_nodes(remap, from)).  Like mark_compact, the
-  /// copy runs in ascending id order, so children land before parents and
-  /// shared sub-DAGs stay shared (the paper's Lemma 7).  The range's nodes
+  /// (SolutionCurve::remap_nodes(remap, from)).  The copy runs in
+  /// ascending id order, so children land before parents and shared
+  /// sub-DAGs stay shared (the paper's Lemma 7).  The range's nodes
   /// count as allocations of this arena, the copies do not: the overlay is
   /// this arena's staging area, and nodes_allocated stays the number of
   /// nodes the DP created, whichever arena held them first.
@@ -142,18 +142,6 @@ class SolutionArena {
   /// memory warm from net to net like its own.  The returned reference is
   /// stable; creating overlays is not thread-safe, using distinct ones is.
   SolutionArena& overlay(std::size_t lane);
-
-  /// Mark-compact garbage collection.  Marks everything reachable from
-  /// `roots` (kNullSol entries are permitted and skipped), slides the
-  /// survivors down in allocation order, and returns the old-id → new-id
-  /// remap table (dead or never-allocated ids map to kNullSol).  Allocation
-  /// order is preserved, and because children are always allocated before
-  /// their parents, shared sub-DAGs (the paper's Lemma 7 sharing) stay
-  /// shared: two parents of one child both see the same remapped id.
-  /// Callers must remap every surviving handle they hold
-  /// (SolutionCurve::remap_nodes).  Cache entries are arena-independent
-  /// copies (cache/store.h) and never need remapping.
-  std::vector<SolNodeId> mark_compact(std::span<const SolNodeId> roots);
 
   [[nodiscard]] Stats stats() const;
 

@@ -44,7 +44,11 @@ void apply_curve_cap(std::vector<T>& v, const PruneConfig& cfg) {
   std::size_t must[4] = {0, best_rt, min_area, 0};
   std::size_t n_must = 3;
   if (cfg.ref_res > 0.0) must[n_must++] = best_scalar;
-  std::sort(must, must + n_must);
+  // Insertion sort: GCC 12's -Warray-bounds misfires on std::sort over
+  // this 4-slot array in Release builds.
+  for (std::size_t i = 1; i < n_must; ++i)
+    for (std::size_t j = i; j > 0 && must[j] < must[j - 1]; --j)
+      std::swap(must[j], must[j - 1]);
   n_must = static_cast<std::size_t>(std::unique(must, must + n_must) - must);
 
   thread_local std::vector<std::size_t> pick;

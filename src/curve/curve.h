@@ -62,14 +62,13 @@ class SolutionCurve {
   void prune(const PruneConfig& cfg = {});
 
   /// Appends every non-null provenance handle to `out` — the curve's
-  /// contribution to a SolutionArena::mark_compact root set.
+  /// contribution to a SolutionArena::import root set.
   void collect_roots(std::vector<SolNodeId>& out) const;
 
   /// Rewrites every provenance handle h >= first to remap[h - first] — the
-  /// table SolutionArena::mark_compact (first = 0) or SolutionArena::import
-  /// (first = the imported range's start) returned.  Handles below `first`
-  /// are kept.
-  void remap_nodes(std::span<const SolNodeId> remap, SolNodeId first = 0);
+  /// table SolutionArena::import returned for a range starting at `first`.
+  /// Handles below `first` are kept.
+  void remap_nodes(std::span<const SolNodeId> remap, SolNodeId first);
 
   /// The solution with the largest required time, or nullptr if empty.
   [[nodiscard]] const Solution* best_req_time() const;

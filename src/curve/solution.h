@@ -45,9 +45,9 @@ using SolNodeId = std::uint32_t;
 inline constexpr SolNodeId kNullSol = 0xFFFFFFFFu;
 
 /// Immutable provenance node (POD).  Nodes form a DAG inside one arena:
-/// pruning drops handles, and shared sub-structures (the paper's Lemma 7
-/// sharing) are reclaimed by SolutionArena::mark_compact once no surviving
-/// solution can reach them.
+/// pruning drops handles, shared sub-structures (the paper's Lemma 7
+/// sharing) are referenced by several parents, and the arena frees its
+/// nodes wholesale at reset().
 struct SolNode {
   StepKind kind;
   std::int32_t idx;  ///< sink index (kSink) or library buffer index (kBuffer)

@@ -39,7 +39,8 @@ Circuit make_random_circuit(const CircuitSpec& spec, const BufferLibrary& lib) {
 
   for (std::size_t gi = 0; gi < spec.n_gates; ++gi) {
     Gate g;
-    g.name = "g" + std::to_string(gi);
+    g.name = "g";  // not "g" + ...: GCC 12 -O3 raises a false -Wrestrict
+    g.name += std::to_string(gi);
     g.cell = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(lib.size()) - 1));
     g.pos = Point{static_cast<std::int32_t>(rng.uniform_int(0, ckt.die_side)),

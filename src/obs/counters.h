@@ -43,8 +43,6 @@ enum class Counter : std::uint16_t {
 
   // Provenance arena (curve/arena.h).
   kArenaNodesAllocated,  ///< SolNodes allocated (per-run deltas, summed)
-  kArenaNodesCompacted,  ///< nodes reclaimed by mark_compact
-  kArenaCompactions,     ///< mark_compact calls
 
   // Engine invocations and their work.
   kLayerCalls,           ///< *PTREE layer-DP calls (BubbleResult::layer_calls)
@@ -121,8 +119,6 @@ inline constexpr std::size_t kGaugeCount = static_cast<std::size_t>(Gauge::kCoun
     case Counter::kCacheEntriesFlushed: return "cache_entries_flushed";
     case Counter::kCacheEntriesEvicted: return "cache_entries_evicted";
     case Counter::kArenaNodesAllocated: return "arena_nodes_allocated";
-    case Counter::kArenaNodesCompacted: return "arena_nodes_compacted";
-    case Counter::kArenaCompactions: return "arena_compactions";
     case Counter::kLayerCalls: return "layer_calls";
     case Counter::kBubbleRuns: return "bubble_runs";
     case Counter::kMerlinIterations: return "merlin_iterations";

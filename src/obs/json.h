@@ -57,8 +57,13 @@ namespace merlin {
 /// span name only.  `runtime.spans` reads the sink's exact span totals (any
 /// run with a sink, traced or not), and `lifetime.phases` became
 /// `lifetime.spans` (name mapping in docs/OBSERVABILITY.md).
+///
+/// v8: the counters `arena_nodes_compacted` and `arena_compactions` and the
+/// span `merlin.compact` are gone with the arena compaction they measured.
+/// v7 readers that look names up and default a missing one to 0 parse v8
+/// documents unchanged.
 inline constexpr const char* kStatsSchemaName = "merlin.stats";
-inline constexpr int kStatsSchemaVersion = 7;
+inline constexpr int kStatsSchemaVersion = 8;
 
 /// Scheduling-dependent run facts.  Kept in a separate "runtime" JSON
 /// section so the deterministic sections (counters/gauges/layers/nets) can

@@ -49,7 +49,6 @@ enum class SpanName : std::uint8_t {
   kFlowBuffering,    ///< Flow II phase 2: van Ginneken insertion
   kFlowSearch,       ///< Flow III: the MERLIN outer search
   kMerlinIteration,  ///< one Figure-14 outer-loop body (arg = iteration)
-  kMerlinCompact,    ///< arena mark-compact between iterations
   kBubbleConstruct,  ///< one BUBBLE_CONSTRUCT (Figure 9)
   kBubbleLayer,      ///< one L of the layer DP, L = 2..n (arg = L)
   kPtreeDp,          ///< one ptree_route
@@ -73,7 +72,6 @@ inline constexpr std::size_t kSpanNameCount =
     case SpanName::kFlowBuffering: return "flow.buffering";
     case SpanName::kFlowSearch: return "flow.search";
     case SpanName::kMerlinIteration: return "merlin.iteration";
-    case SpanName::kMerlinCompact: return "merlin.compact";
     case SpanName::kBubbleConstruct: return "bubble.construct";
     case SpanName::kBubbleLayer: return "bubble.layer";
     case SpanName::kPtreeDp: return "ptree.dp";

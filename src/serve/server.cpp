@@ -350,7 +350,6 @@ JobOutcome ServerCore::run_one(const QueuedJob& job, double queue_ms,
   out.queue_ms = queue_ms;
   const std::int64_t t0 = now_ns();
   ObsSink sink;
-  if (opts_.trace_spans) sink.set_span_capacity(ObsSink::kDefaultSpanCapacity);
   if (job.spec.deadline_ms > 0 &&
       queue_ms >= static_cast<double>(job.spec.deadline_ms)) {
     // The deadline died in the admission queue: reject without running —
@@ -444,11 +443,10 @@ JobOutcome ServerCore::run_one(const QueuedJob& job, double queue_ms,
 
     if (kObsEnabled) {
       // The request's own timeline: queue wait (admission → dispatch) and
-      // the run itself.  Scheduling spans by nature (net == kNoTraceNet),
-      // tagged with the job id so a Perfetto track reads per-request.
-      // Recorded whether or not --trace-spans armed the ring: the totals
-      // feed `runtime.spans` and the lifetime span histograms, and a
-      // disarmed ring ignores the push.
+      // the run itself, scheduling spans by nature (net == kNoTraceNet)
+      // tagged with the job id.  The sink's span ring is never armed, so
+      // only the span totals are kept; they feed `runtime.spans` and the
+      // lifetime span histograms.
       SpanRecord q;
       q.begin_ns = static_cast<std::uint64_t>(admit_ns);
       q.end_ns = static_cast<std::uint64_t>(t0);

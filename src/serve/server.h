@@ -53,7 +53,6 @@ struct ServeOptions {
   std::size_t queue_capacity = 64;  ///< admission-queue bound
   GuardConfig guard{};            ///< per-job NetGuard budgets
   FailPolicy fail_policy = FailPolicy::kDegrade;
-  bool trace_spans = false;       ///< arm per-job span rings (serve.* spans)
   /// Keep each job's full BatchResult in its outcome — the in-process
   /// differential tests compare them structurally.  Daemons serving real
   /// traffic leave this off (outcomes hold only the summary + stats JSON).

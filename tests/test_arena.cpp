@@ -1,8 +1,8 @@
 // Unit + property tests for SolutionArena: handle validity, slab growth
-// with stable references, mark-compact liveness (exactly the live sub-DAG
-// survives, Lemma-7 sharing preserved through the remap), and the
-// push-order permutation property of Pareto pruning (the survivor *set* of
-// prune() is independent of insertion order).
+// with stable references, overlay import (exactly the reachable sub-DAG is
+// copied, Lemma-7 sharing preserved through the remap), and the push-order
+// permutation property of Pareto pruning (the survivor *set* of prune() is
+// independent of insertion order).
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include "curve/arena.h"
 #include "curve/curve.h"
 #include "net/rng.h"
-#include "tree/routing_tree.h"
 
 namespace merlin {
 namespace {
@@ -95,97 +94,6 @@ TEST(Arena, ResetKeepsCapacityAndCountsStats) {
   EXPECT_EQ(st.resets, 1u);
 }
 
-// Builds sink(i) -> buffer -> wire chains plus one merge, returns the roots.
-struct SmallDag {
-  SolNodeId live_root;   // merge over two buffered sinks
-  SolNodeId dead_root;   // independent chain that will be dropped
-  SolNodeId shared;      // child shared by the merge's two parents
-};
-
-SmallDag build_dag(SolutionArena& arena) {
-  SmallDag d;
-  d.shared = arena.make_sink({10, 10}, 0);
-  const SolNodeId w1 = arena.make_wire({0, 10}, d.shared);
-  const SolNodeId w2 = arena.make_wire({10, 0}, d.shared);
-  d.live_root = arena.make_merge({0, 0}, w1, w2);
-  d.dead_root = arena.make_buffer({5, 5}, 1, arena.make_sink({5, 5}, 1));
-  return d;
-}
-
-TEST(Arena, MarkCompactKeepsExactlyTheLiveSubDag) {
-  SolutionArena arena;
-  const SmallDag d = build_dag(arena);
-  EXPECT_EQ(arena.size(), 6u);
-
-  const std::vector<SolNodeId> roots{d.live_root, kNullSol};  // null skipped
-  const std::vector<SolNodeId> remap = arena.mark_compact(roots);
-  ASSERT_EQ(remap.size(), 6u);
-
-  // Exactly the 4 reachable nodes survive.
-  EXPECT_EQ(arena.size(), 4u);
-  EXPECT_EQ(remap[d.dead_root], kNullSol);
-  EXPECT_EQ(remap[arena.size()], kNullSol);  // dead sink of the dead chain
-
-  const SolNodeId root2 = remap[d.live_root];
-  ASSERT_NE(root2, kNullSol);
-  const SolNode& m = arena.at(root2);
-  EXPECT_EQ(m.kind, StepKind::kMerge);
-  // Lemma-7 sharing preserved: both wire parents still point at ONE sink.
-  EXPECT_EQ(arena.at(m.a).a, arena.at(m.b).a);
-  EXPECT_EQ(arena.at(m.a).a, remap[d.shared]);
-  EXPECT_EQ(arena.at(remap[d.shared]).at, (Point{10, 10}));
-  EXPECT_EQ(arena.stats().compactions, 1u);
-}
-
-TEST(Arena, MarkCompactPreservesReplayedRoutingTrees) {
-  Net net;
-  net.source = {0, 0};
-  net.wire = WireModel{0.1, 0.2};
-  net.sinks.push_back(Sink{{100, 0}, 10.0, 1000.0});
-  net.sinks.push_back(Sink{{0, 200}, 20.0, 900.0});
-
-  SolutionArena arena;
-  // Interleave garbage with the live structure so compaction actually moves
-  // nodes.
-  arena.make_sink({99, 99}, 0);
-  const SolNodeId s0 = arena.make_sink({50, 0}, 0);
-  arena.make_wire({98, 98}, arena.make_sink({97, 97}, 1));
-  const SolNodeId s1 = arena.make_sink({50, 0}, 1);
-  const SolNodeId m = arena.make_merge({50, 0}, s0, s1);
-  const SolNodeId b = arena.make_buffer({50, 0}, 1, m);
-  SolNodeId root = arena.make_wire({0, 0}, b);
-
-  const RoutingTree before = build_routing_tree(net, arena, root);
-  const std::vector<SolNodeId> roots{root};
-  const std::vector<SolNodeId> remap = arena.mark_compact(roots);
-  root = remap[root];
-  ASSERT_NE(root, kNullSol);
-  EXPECT_EQ(arena.size(), 5u);
-
-  const RoutingTree after = build_routing_tree(net, arena, root);
-  ASSERT_EQ(after.size(), before.size());
-  for (std::size_t i = 0; i < after.size(); ++i) {
-    EXPECT_EQ(after.node(i).kind, before.node(i).kind);
-    EXPECT_EQ(after.node(i).at, before.node(i).at);
-    EXPECT_EQ(after.node(i).idx, before.node(i).idx);
-    EXPECT_EQ(after.node(i).parent, before.node(i).parent);
-  }
-  EXPECT_DOUBLE_EQ(after.total_wirelength(), before.total_wirelength());
-}
-
-TEST(Arena, RepeatedCompactionIsIdempotentOnLiveSet) {
-  SolutionArena arena;
-  const SmallDag d = build_dag(arena);
-  std::vector<SolNodeId> roots{d.live_root};
-  std::vector<SolNodeId> remap = arena.mark_compact(roots);
-  roots[0] = remap[roots[0]];
-  const std::size_t live = arena.size();
-  remap = arena.mark_compact(roots);
-  EXPECT_EQ(arena.size(), live);
-  // Already-compact arena: the remap is the identity on the live prefix.
-  for (SolNodeId id = 0; id < live; ++id) EXPECT_EQ(remap[id], id);
-}
-
 TEST(Arena, OverlayImportKeepsSharingAndBaseLinks) {
   // A base arena with two nodes, frozen while an overlay numbered from its
   // end builds on top of it (the BUBBLE_CONSTRUCT lane pattern).
@@ -233,10 +141,9 @@ TEST(Arena, OverlayImportKeepsSharingAndBaseLinks) {
   EXPECT_EQ(c[0].node, remap[m - 2]);
   EXPECT_EQ(c[1].node, b1);  // below the range: kept
 
-  // A range outside the overlay throws; overlays never compact.
+  // A range outside the overlay throws.
   EXPECT_THROW((void)base.import(overlay, 0, overlay.end_id(), roots),
                std::invalid_argument);
-  EXPECT_THROW((void)overlay.mark_compact(roots), std::logic_error);
 }
 
 TEST(Arena, OverlaysAreStableAcrossResetsAndMoves) {

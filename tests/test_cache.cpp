@@ -1,14 +1,16 @@
 // Tests for the src/cache/ subsystem: canonical signatures, arena-decoupled
-// entry storage, the sharded shared store's deterministic publish/eviction,
+// entry storage, the shared store's deterministic publish/eviction,
 // and the batch-level bit-identity contract with the cache armed
 // (cache/shard.h documents the full contract).
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -204,11 +206,12 @@ TEST(CacheSession, FindIsExplicitlyMutating) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded shared store (cache/shard.h).
+// The shared store (cache/shard.h): one map, one CurveStore, one LRU list
+// and one lock, budgeted as a whole.
 // ---------------------------------------------------------------------------
 
 TEST(CacheShard, StagedInsertPublishesThroughApply) {
-  SubproblemCache shared(CacheConfig{1u << 20, 4});
+  SubproblemCache shared(CacheConfig{1u << 20});
   ASSERT_TRUE(shared.enabled());
 
   SolutionArena arena;
@@ -254,18 +257,18 @@ TEST(CacheShard, StagedInsertPublishesThroughApply) {
 }
 
 TEST(CacheShard, CapacityZeroDisablesSharing) {
-  SubproblemCache off(CacheConfig{0, 4});
+  SubproblemCache off(CacheConfig{0});
   EXPECT_FALSE(off.enabled());
   CacheSession ses(&off);
   EXPECT_EQ(ses.shared(), nullptr);  // detached: pure per-run scratch
 }
 
 TEST(CacheShard, EvictionIsCostAwareLruAndDeterministic) {
-  // One shard, budget 8 nodes.  Insert A(4), B(4), C(4): C's arrival
-  // overflows and the LRU tail (A) is evicted.
+  // Budget 8 nodes.  Insert A(4), B(4), C(4): C's arrival overflows and
+  // the LRU tail (A) is evicted.
   const CacheKey ka = key_of(1), kb = key_of(2), kc = key_of(3);
   const auto run = [&](bool touch_a) {
-    SubproblemCache cache(CacheConfig{8, 1});
+    SubproblemCache cache(CacheConfig{8});
     FlushBatch ab;
     ab.staged.push_back(chain_entry(ka, 4));
     ab.staged.push_back(chain_entry(kb, 4));
@@ -291,7 +294,7 @@ TEST(CacheShard, EvictionIsCostAwareLruAndDeterministic) {
 }
 
 TEST(CacheShard, DuplicateInsertsRefreshInsteadOfGrowing) {
-  SubproblemCache cache(CacheConfig{64, 1});
+  SubproblemCache cache(CacheConfig{64});
   FlushBatch first;
   first.staged.push_back(chain_entry(key_of(1), 3));
   (void)cache.apply(std::move(first));
@@ -305,14 +308,87 @@ TEST(CacheShard, DuplicateInsertsRefreshInsteadOfGrowing) {
 }
 
 TEST(CacheShard, OversizeEntriesAreRejected) {
-  // Budget 8 across 2 shards = 4 per shard; a 5-node entry can never fit.
-  SubproblemCache cache(CacheConfig{8, 2});
+  // Budget 8: a 9-node entry can never fit and is rejected without
+  // evicting anything already stored.
+  SubproblemCache cache(CacheConfig{8});
   FlushBatch fb;
-  fb.staged.push_back(chain_entry(key_of(7), 5));
+  fb.staged.push_back(chain_entry(key_of(6), 3));
+  fb.staged.push_back(chain_entry(key_of(7), 9));
   const CacheApplyOutcome out = cache.apply(std::move(fb));
   EXPECT_EQ(out.rejected, 1u);
-  EXPECT_EQ(out.inserted, 0u);
-  EXPECT_EQ(cache.entry_count(), 0u);
+  EXPECT_EQ(out.inserted, 1u);
+  EXPECT_EQ(out.evicted, 0u);
+  EXPECT_EQ(cache.entry_count(), 1u);
+  EXPECT_EQ(cache.node_cost(), 3u);
+  CacheEntry tmp;
+  EXPECT_FALSE(cache.lookup(key_of(7), tmp));
+}
+
+TEST(CacheShard, EntriesUpToTheWholeBudgetAreStoredAndServed) {
+  // One entry may use the whole budget: entries costing 9 nodes (more
+  // than 64 / 8) and exactly 64 nodes are both stored and served.
+  for (const std::size_t nodes : {std::size_t{9}, std::size_t{64}}) {
+    SubproblemCache cache(CacheConfig{64});
+    FlushBatch fb;
+    fb.staged.push_back(chain_entry(key_of(nodes), nodes));
+    const CacheApplyOutcome out = cache.apply(std::move(fb));
+    EXPECT_EQ(out.inserted, 1u) << nodes;
+    EXPECT_EQ(out.rejected, 0u) << nodes;
+    EXPECT_EQ(cache.node_cost(), nodes);
+    CacheSession ses(&cache);
+    bool shared_hit = false;
+    const CacheEntry* e = ses.find(key_of(nodes), &shared_hit);
+    ASSERT_NE(e, nullptr) << nodes;
+    EXPECT_TRUE(shared_hit);
+    EXPECT_EQ(e->node_cost(), nodes);
+  }
+}
+
+TEST(CacheShard, LookupsWalksAndAppliesRunConcurrently) {
+  // Four threads look up while one walks the store oldest-first and the
+  // main thread publishes and evicts: every read sees a whole entry, and
+  // no walk sees more entries than the budget holds.
+  constexpr std::size_t kKeys = 64;
+  constexpr std::size_t kNodes = 4;
+  constexpr std::size_t kRounds = 100;
+  SubproblemCache cache(CacheConfig{kKeys / 2 * kNodes});
+  std::atomic<std::size_t> bad{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> readers;
+  for (std::size_t t = 0; t < 4; ++t)
+    readers.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      CacheEntry e;
+      for (std::size_t n = 0; n < kRounds * kKeys; ++n) {
+        const CacheKey key = key_of((t + n) % kKeys);
+        if (cache.lookup(key, e) && (!(e.key == key) || e.node_cost() != kNodes))
+          bad.fetch_add(1);
+      }
+    });
+  readers.emplace_back([&] {
+    while (!go.load()) std::this_thread::yield();
+    for (std::size_t n = 0; n < kRounds * 4; ++n) {
+      std::size_t walked = 0;
+      cache.for_each_entry_oldest_first([&](const CacheEntry& e) {
+        if (e.node_cost() != kNodes) bad.fetch_add(1);
+        ++walked;
+      });
+      if (walked > kKeys / 2) bad.fetch_add(1);
+    }
+  });
+  std::uint64_t evicted = 0;
+  go.store(true);
+  for (std::size_t round = 0; round < kRounds; ++round)
+    for (std::size_t i = 0; i < kKeys; ++i) {
+      FlushBatch fb;
+      fb.touched.push_back(key_of((i + 7) % kKeys));
+      fb.staged.push_back(chain_entry(key_of(i), kNodes));
+      evicted += cache.apply(std::move(fb)).evicted;
+    }
+  for (std::thread& th : readers) th.join();
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_GT(evicted, 0u);
+  EXPECT_EQ(cache.node_cost(), kKeys / 2 * kNodes);
 }
 
 // ---------------------------------------------------------------------------
@@ -367,7 +443,7 @@ TEST(CacheDeterminism, ColdSharedCacheMatchesCacheOff) {
   // also holds under MERLIN_CACHE=off, where the armed run detaches.)
   const Circuit ckt = cache_circuit(501);
   const BatchResult off = run_cached(ckt, nullptr, 2);
-  SubproblemCache shared(CacheConfig{1u << 22, 8});
+  SubproblemCache shared(CacheConfig{1u << 22});
   const BatchResult on = run_cached(ckt, &shared, 2);
   EXPECT_TRUE(batch_results_identical(off, on));
 }
@@ -375,7 +451,7 @@ TEST(CacheDeterminism, ColdSharedCacheMatchesCacheOff) {
 TEST(CacheDeterminism, WarmRerunHitsSharedStoreWithIdenticalStructure) {
   if (cache_env_off()) GTEST_SKIP() << "MERLIN_CACHE=off disables sharing";
   const Circuit ckt = cache_circuit(502);
-  SubproblemCache shared(CacheConfig{1u << 22, 8});
+  SubproblemCache shared(CacheConfig{1u << 22});
   const BatchResult cold = run_cached(ckt, &shared, 2);
   EXPECT_GT(shared.entry_count(), 0u);
 
@@ -394,11 +470,11 @@ TEST(CacheDeterminism, WarmRunsAreThreadCountInvariant) {
   // Cold and warm passes at 1 thread vs 4 threads: results AND the shared
   // store's end state must be bit-identical — the serial-publish contract.
   const Circuit ckt = cache_circuit(503);
-  SubproblemCache serial_cache(CacheConfig{1u << 22, 8});
+  SubproblemCache serial_cache(CacheConfig{1u << 22});
   const BatchResult serial_cold = run_cached(ckt, &serial_cache, 1);
   const BatchResult serial_warm = run_cached(ckt, &serial_cache, 1);
 
-  SubproblemCache par_cache(CacheConfig{1u << 22, 8});
+  SubproblemCache par_cache(CacheConfig{1u << 22});
   const BatchResult par_cold = run_cached(ckt, &par_cache, 4);
   const BatchResult par_warm = run_cached(ckt, &par_cache, 4);
 
@@ -412,8 +488,8 @@ TEST(CacheDeterminism, EvictionPressureKeepsRunsIdentical) {
   // A tiny budget forces constant eviction churn; determinism must hold
   // anyway (evictions happen in the serial publish, never during lookup).
   const Circuit ckt = cache_circuit(504);
-  SubproblemCache a(CacheConfig{512, 2});
-  SubproblemCache b(CacheConfig{512, 2});
+  SubproblemCache a(CacheConfig{512});
+  SubproblemCache b(CacheConfig{512});
   const BatchResult ra1 = run_cached(ckt, &a, 1);
   const BatchResult rb1 = run_cached(ckt, &b, 4);
   EXPECT_TRUE(batch_results_identical(ra1, rb1));
@@ -435,7 +511,7 @@ TEST(CacheWholeNet, WarmRerunRunsNoDpLayerAtAnyThreadCount) {
   const Circuit ckt = cache_circuit(505);
   std::vector<BatchResult> warms;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    SubproblemCache shared(CacheConfig{1u << 22, 8});
+    SubproblemCache shared(CacheConfig{1u << 22});
     const BatchResult cold = run_cached(ckt, &shared, threads);
     ObsSink sink;
     BatchResult warm = run_cached(ckt, &shared, threads, &sink);
@@ -525,7 +601,7 @@ TEST(CacheWholeNet, BudgetTrippedNetPublishesNoWholeNetEntry) {
   opts.flow = FlowKind::kFlow3;
   opts.scaled_config = false;
   opts.config = cheap_cfg();
-  SubproblemCache shared(CacheConfig{1u << 22, 8});
+  SubproblemCache shared(CacheConfig{1u << 22});
   opts.cache = &shared;
   opts.guard.step_budget = 60;  // trips the first attempt
   const BatchResult tripped = BatchRunner(lib_ref(), opts).run_nets(nets);
@@ -552,12 +628,12 @@ TEST(CacheWholeNet, BudgetTrippedNetPublishesNoWholeNetEntry) {
 TEST(CacheWholeNet, SnapshotRoundTripServesSeenNetsWithoutDp) {
   if (cache_env_off()) GTEST_SKIP() << "MERLIN_CACHE=off disables sharing";
   const Circuit ckt = cache_circuit(506);
-  SubproblemCache first(CacheConfig{1u << 22, 8});
+  SubproblemCache first(CacheConfig{1u << 22});
   const BatchResult cold = run_cached(ckt, &first, 2);
   const std::string path = ::testing::TempDir() + "whole_net_cache.snap";
   ASSERT_TRUE(save_cache_snapshot(first, path));
 
-  SubproblemCache restored(CacheConfig{1u << 22, 8});
+  SubproblemCache restored(CacheConfig{1u << 22});
   ASSERT_TRUE(load_cache_snapshot(restored, path).loaded());
   std::remove(path.c_str());
   EXPECT_EQ(restored.entry_count(), first.entry_count());

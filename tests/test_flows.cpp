@@ -8,6 +8,7 @@
 #include <limits>
 
 #include "buflib/library.h"
+#include "cache/shard.h"
 #include "flow/batch.h"
 #include "flow/circuit.h"
 #include "flow/flows.h"
@@ -145,7 +146,7 @@ TEST(Flows, ScaledConfigTiersAreOrdered) {
             large.merlin.bubble.group_prune.max_solutions);
 }
 
-// Flow I/II bit-identity: the digest of a 26-gate circuit batch, built
+// Flow I/II/III bit-identity: the digest of a 26-gate circuit batch, built
 // the way `merlin_cli --circuit 26 SEED --flow F [--net-step-budget B]`
 // builds it, at 1 and 4 threads.  The step-budgeted rows pin where PTREE
 // charges its steps as well as what it returns: a budget that trips at a
@@ -183,6 +184,30 @@ TEST(FlowDigests, CircuitBatchDigestsArePinned) {
           << "flow " << static_cast<int>(c.flow) << " seed " << c.seed
           << " budget " << c.step_budget << " threads " << threads;
     }
+  }
+
+  // Flow III on seed 7 with no shared cache, a cold 64 MB SubproblemCache
+  // and a warm rerun on that same cache: sub-problem reuse never changes
+  // what MERLIN returns.
+  CircuitSpec spec;
+  spec.name = "ckt26";
+  spec.n_gates = 26;
+  spec.seed = 7;
+  const Circuit ckt = make_random_circuit(spec, lib);
+  constexpr std::uint64_t kFlow3Digest = 0xcf94db842e08a311ull;
+  for (const std::size_t threads : {1u, 4u}) {
+    BatchOptions opts;
+    opts.flow = FlowKind::kFlow3;
+    opts.threads = threads;
+    EXPECT_EQ(batch_result_digest(BatchRunner(lib, opts).run(ckt)), kFlow3Digest)
+        << "flow 3 no cache, threads " << threads;
+    SubproblemCache cache(
+        CacheConfig{(std::uint64_t{64} << 20) / sizeof(SolNode)});
+    opts.cache = &cache;
+    for (const char* state : {"cold", "warm"})
+      EXPECT_EQ(batch_result_digest(BatchRunner(lib, opts).run(ckt)),
+                kFlow3Digest)
+          << "flow 3 " << state << " cache, threads " << threads;
   }
 }
 

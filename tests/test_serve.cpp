@@ -360,9 +360,9 @@ TEST(ServeCore, StatsJsonCarriesTheRequestIdentity) {
 }
 
 TEST(ServeCore, RequestSpansAreRecordedWithoutTraceSpans) {
-  // Span totals do not need the timeline ring: a daemon without
-  // --trace-spans still reports each request's serve.queue and
-  // serve.request, per job and in the lifetime registry.
+  // Span totals do not need the timeline ring, which the daemon never
+  // arms: each request's serve.queue and serve.request are reported per
+  // job and in the lifetime registry, with no span records kept.
   ServerCore core(ServeOptions{});
   const SubmitOutcome sub = core.submit(1, circuit_spec(12, 5));
   ASSERT_TRUE(sub.accepted);
@@ -379,6 +379,7 @@ TEST(ServeCore, RequestSpansAreRecordedWithoutTraceSpans) {
     EXPECT_EQ(span_count(job.at("runtime").at("spans"), "serve.request"), 1.0);
     EXPECT_EQ(span_count(job.at("runtime").at("spans"), "serve.queue"), 1.0);
     EXPECT_EQ(job.at("runtime").at("span_count").number, 0.0);  // ring disarmed
+    EXPECT_EQ(job.at("runtime").at("spans_dropped").number, 0.0);
     EXPECT_EQ(lifetime.at("spans").at("serve.request").at("count").number, 1.0);
   } else {
     EXPECT_EQ(span_count(job.at("runtime").at("spans"), "serve.request"), 0.0);

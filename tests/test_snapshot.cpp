@@ -100,12 +100,11 @@ bool entries_equal(const CacheEntry& a, const CacheEntry& b) {
   return true;
 }
 
-/// (shard, entry) walk in the cache's canonical deterministic order.
-std::vector<std::pair<std::size_t, CacheEntry>> dump(
-    const SubproblemCache& cache) {
-  std::vector<std::pair<std::size_t, CacheEntry>> out;
+/// Entry walk in the cache's canonical deterministic order.
+std::vector<CacheEntry> dump(const SubproblemCache& cache) {
+  std::vector<CacheEntry> out;
   cache.for_each_entry_oldest_first(
-      [&](std::size_t shard, const CacheEntry& e) { out.emplace_back(shard, e); });
+      [&](const CacheEntry& e) { out.push_back(e); });
   return out;
 }
 
@@ -150,11 +149,8 @@ TEST(CacheSnapshotRoundtrip, RestoresContentProvenanceAndLruOrder) {
   const auto a = dump(src);
   const auto b = dump(dst);
   ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].first, b[i].first) << "shard divergence at " << i;
-    EXPECT_TRUE(entries_equal(a[i].second, b[i].second))
-        << "entry divergence at " << i;
-  }
+  for (std::size_t i = 0; i < a.size(); ++i)
+    EXPECT_TRUE(entries_equal(a[i], b[i])) << "entry divergence at " << i;
 }
 
 TEST(CacheSnapshotRoundtrip, SerializationIsByteDeterministic) {
@@ -193,15 +189,74 @@ TEST(CacheSnapshotRoundtrip, SmallerBudgetRestoresTheMostRecentSubset) {
   ASSERT_TRUE(save_cache_snapshot(src, snap.path));
 
   CacheConfig small;
-  small.capacity_nodes = 16 * 4;  // room for ~2 entries per shard
+  small.capacity_nodes = 16 * 4;  // room for 16 of the 40 entries
   SubproblemCache dst(small);
   const SnapshotLoadResult lr = load_cache_snapshot(dst, snap.path);
   // The restoring cache's own budget governs: a verified snapshot larger
   // than capacity loads as a truncated (most-recent) working set.
   EXPECT_TRUE(lr.loaded()) << lr.detail;
-  EXPECT_GT(dst.entry_count(), 0u);
-  EXPECT_LT(dst.entry_count(), src.entry_count());
   EXPECT_LE(dst.node_cost(), small.capacity_nodes);
+  // One budget over one LRU list: exactly the 16 newest entries survive.
+  const std::vector<CacheEntry> kept = dump(dst);
+  ASSERT_EQ(kept.size(), 16u);
+  for (std::size_t i = 0; i < kept.size(); ++i)
+    EXPECT_EQ(kept[i].key, make_entry(24 + i).key) << "entry " << i;
+}
+
+TEST(CacheSnapshotRoundtrip, SeveralEntrySectionsLoadInFileOrder) {
+  // Files written by the former sharded store hold one entry section per
+  // shard.  Split a saved file's single entry section in two and re-frame
+  // it: the loader restores every entry, section after section.
+  SnapDir snap;
+  SubproblemCache src(big_config());
+  populate(src, 5);
+  ASSERT_TRUE(save_cache_snapshot(src, snap.path));
+  const std::string file = read_file(snap.path);
+  const auto u64_at = [&](std::size_t pos) {
+    std::uint64_t v = 0;
+    for (int i = 7; i >= 0; --i)
+      v = v << 8 | static_cast<unsigned char>(file[pos + static_cast<std::size_t>(i)]);
+    return v;
+  };
+  const auto put_u64 = [](std::string& out, std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
+  };
+  const auto section = [&](std::uint32_t tag, const std::string& payload) {
+    std::uint32_t crc = 0xFFFFFFFFu;  // CRC-32 (IEEE, reflected)
+    for (const char ch : payload) {
+      crc ^= static_cast<unsigned char>(ch);
+      for (int k = 0; k < 8; ++k)
+        crc = (crc & 1) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+    crc ^= 0xFFFFFFFFu;
+    std::string out;
+    for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(tag >> (8 * i)));
+    put_u64(out, payload.size());
+    for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(crc >> (8 * i)));
+    return out + payload;
+  };
+  // magic + version, then the meta section, then the entry section.
+  const std::size_t meta_end = 8 + 16 + u64_at(12);
+  const std::size_t entries_len = u64_at(meta_end + 4);
+  const std::string entries = file.substr(meta_end + 16 + 8, entries_len - 8);
+  ASSERT_EQ(u64_at(meta_end + 16), 5u);
+  const std::size_t entry_bytes = entries.size() / 5;  // equal-size entries
+  std::string first, second;
+  put_u64(first, 2);
+  first += entries.substr(0, 2 * entry_bytes);
+  put_u64(second, 3);
+  second += entries.substr(2 * entry_bytes);
+  write_file(snap.path, file.substr(0, meta_end) + section(2, first) +
+                            section(2, second) + section(3, {}));
+
+  SubproblemCache dst(big_config());
+  const SnapshotLoadResult lr = load_cache_snapshot(dst, snap.path);
+  ASSERT_TRUE(lr.loaded()) << lr.detail;
+  const auto a = dump(src);
+  const auto b = dump(dst);
+  ASSERT_EQ(b.size(), 5u);
+  for (std::size_t i = 0; i < a.size(); ++i)
+    EXPECT_TRUE(entries_equal(a[i], b[i])) << "entry divergence at " << i;
 }
 
 // -- hostile files ----------------------------------------------------------

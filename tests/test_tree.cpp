@@ -17,7 +17,7 @@ namespace {
 // A two-sink net with easy numbers: source at origin, sinks on the axes.
 Net simple_net() {
   Net net;
-  net.name = "t";
+  net.name = std::string("t");  // GCC 12 -O3 misflags = "t" (-Wrestrict)
   net.source = {0, 0};
   net.wire = WireModel{0.1, 0.2};
   net.driver.delay = DelayParams{50.0, 1.0, 0.0, 0.0};  // 50 + 1*C ps

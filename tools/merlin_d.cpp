@@ -15,8 +15,6 @@
 //                         retry-after hint instead of blocking
 //     --net-step-budget N deterministic DP-step budget per net
 //     --fail-policy P     abort | skip | degrade (default)
-//     --trace-spans       arm per-job span rings (serve.queue/serve.request
-//                         land in each job's stats JSON)
 //     --snapshot PATH     warm-cache snapshot file: loaded at startup (a
 //                         missing/torn/corrupt file cold-starts, never
 //                         crashes), rewritten atomically at drain, on
@@ -83,7 +81,7 @@ constexpr int kExitServer = 6;
   std::fprintf(stderr,
                "usage: merlin_d --socket PATH [--threads N] [--cache-mb N] "
                "[--cache on|off] [--queue-depth N] [--net-step-budget N] "
-               "[--fail-policy abort|skip|degrade] [--trace-spans] "
+               "[--fail-policy abort|skip|degrade] "
                "[--snapshot PATH] [--snapshot-every SECONDS] "
                "[--io-timeout-ms N] [--shed-queue-depth N] [--shed-ewma-ms X] "
                "[--shed-lane-cap N] [--shed-step-budget N] "
@@ -121,7 +119,6 @@ int main(int argc, char** argv) {
   std::size_t queue_depth = 64;
   std::uint64_t net_step_budget = 0;
   std::string fail_policy = "degrade";
-  bool trace_spans = false;
   std::string snapshot_path;
   std::uint32_t snapshot_every_s = 0;
   std::uint32_t io_timeout_ms = 30000;
@@ -159,8 +156,6 @@ int main(int argc, char** argv) {
     } else if (a == "--fail-policy") {
       need(1);
       fail_policy = argv[++i];
-    } else if (a == "--trace-spans") {
-      trace_spans = true;
     } else if (a == "--snapshot") {
       need(1);
       snapshot_path = argv[++i];
@@ -206,7 +201,6 @@ int main(int argc, char** argv) {
     opts.cache_mb = cache_mb;
     opts.queue_capacity = queue_depth;
     opts.guard.step_budget = net_step_budget;
-    opts.trace_spans = trace_spans;
     opts.snapshot_path = snapshot_path;
     opts.snapshot_every_s = snapshot_every_s;
     opts.io_timeout_ms = io_timeout_ms;
